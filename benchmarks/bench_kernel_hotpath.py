@@ -1,6 +1,6 @@
 """Scheduler hot-path microbenchmarks: bitmask MRT kernel vs dict oracle.
 
-Three measurements, each appended as one record to ``BENCH_SCHED.json``
+Four measurements, each appended as one record to ``BENCH_SCHED.json``
 at the repository root — a trajectory of scheduler-kernel performance
 that accumulates across runs (and that the CI perf-smoke job reads back
 to assert the bitmask path stays ahead of the oracle):
@@ -15,10 +15,6 @@ to assert the bitmask path stays ahead of the oracle):
 * ``mask_compile_cache`` — cold compile of every opcode alternative over
   a range of IIs versus warm lookups through the content-addressed
   per-(machine, II) cache.
-* ``mindist_closure`` — the II-search probe kernel: RecMII plus a window
-  of feasibility probes and schedule-length bounds, answered by the
-  parametric MinDist closure (one envelope build per loop) versus the
-  per-II Floyd-Warshall oracle (one N³ pass per probe).
 * ``slot_probe_batch`` — the batched FindTimeSlot kernel
   (``first_free_slot``: one rotated bit-vector per alternative) versus
   the scalar (slot, alternative) scan, plus a scheduling-pipeline arm
@@ -269,110 +265,6 @@ def test_corpus_end_to_end(machine, corpus, emit):
     )
 
 
-#: IIs probed above the MII in the ``mindist_closure`` bench — the exact
-#: backend's per-II window plus the scheduler's II escalation both walk
-#: this range, each step a fresh Floyd-Warshall pass under the oracle.
-II_WINDOW = 12
-
-#: Corpus slice for the II-search probe kernel.
-MINDIST_LOOPS = 120
-
-
-def _ii_search_workload(machine, loops, impl):
-    """The MinDist traffic of one II search per loop: the RecMII
-    computation, then feasibility probes and schedule-length bounds over
-    an ``II_WINDOW``-wide window above the MII (what the exact backend's
-    per-II encoding sweep and the scheduler's escalation ask for)."""
-    from repro.core.mindist import schedule_length_lower_bound
-
-    counters = Counters()
-    closure_builds = 0
-    start = perf_counter()
-    for loop in loops:
-        mii_result = compute_mii(
-            loop.graph, machine, counters=counters, mindist_impl=impl
-        )
-        memo = mii_result.mindist_memo
-        for ii in range(mii_result.mii, mii_result.mii + II_WINDOW):
-            memo.feasible(ii, counters=counters)
-            schedule_length_lower_bound(loop.graph, ii, counters, memo=memo)
-        closure_builds += memo.misses if impl == "parametric" else 0
-    return perf_counter() - start, counters, closure_builds
-
-
-def test_mindist_closure(machine, corpus, emit):
-    """One parametric closure build must replace >= 10 oracle N³ passes
-    across the II search.
-
-    The enforced floor is the *probe ratio* — N³ Floyd-Warshall passes
-    the oracle runs per closure build the parametric arm pays — because
-    that is the complexity claim: the closure turns a per-II O(N³) cost
-    into a one-off build plus O(N² · P) evals.  Wall clock is recorded
-    (best of three) but not floored: a closure build costs roughly
-    eighteen FW-pass-equivalents on this corpus, so it repays itself on
-    probe-heavy sweeps (the exact backend's II window, escalation-heavy
-    searches), not on every workload shape — docs/PERFORMANCE.md carries
-    the measured break-even.
-    """
-    loops = corpus[:MINDIST_LOOPS]
-    fw_seconds, fw_counters, _ = min(
-        (_ii_search_workload(machine, loops, "fw") for _ in range(3)),
-        key=lambda r: r[0],
-    )
-    para_seconds, para_counters, builds = min(
-        (
-            _ii_search_workload(machine, loops, "parametric")
-            for _ in range(3)
-        ),
-        key=lambda r: r[0],
-    )
-
-    # Differential guard: both arms answered the identical probe set.
-    assert para_counters.mindist_invocations == 0
-    assert fw_counters.mindist_parametric_evals == 0
-    assert builds > 0
-
-    probe_ratio = fw_counters.mindist_invocations / builds
-    # N³-equivalent work: the oracle's inner-loop operations across every
-    # per-II pass versus the one-off closure builds' (each billed n³ by
-    # the envelope Floyd-Warshall).
-    work_ratio = fw_counters.mindist_inner / para_counters.mindist_closure_inner
-    speedup = fw_seconds / para_seconds
-    result = {
-        "loops": len(loops),
-        "ii_window": II_WINDOW,
-        "fw_seconds": round(fw_seconds, 4),
-        "parametric_seconds": round(para_seconds, 4),
-        "speedup": round(speedup, 2),
-        "fw_n3_passes": fw_counters.mindist_invocations,
-        "fw_inner_ops": fw_counters.mindist_inner,
-        "closure_builds": builds,
-        "closure_inner_ops": para_counters.mindist_closure_inner,
-        "parametric_evals": para_counters.mindist_parametric_evals,
-        "probe_ratio": round(probe_ratio, 2),
-        "n3_work_ratio": round(work_ratio, 2),
-    }
-    _record("mindist_closure", result)
-    emit(
-        "hotpath_mindist_closure",
-        f"II-search probe kernel over {len(loops)} loops "
-        f"(RecMII + {II_WINDOW}-II window of bounds/feasibility):\n"
-        f"  fw oracle  {fw_seconds:.3f}s  "
-        f"({fw_counters.mindist_invocations:,} N^3 passes)\n"
-        f"  parametric {para_seconds:.3f}s  ({builds:,} closure builds, "
-        f"{para_counters.mindist_parametric_evals:,} O(N^2 P) evals)\n"
-        f"  probe ratio {probe_ratio:.1f}x   N^3 work ratio "
-        f"{work_ratio:.1f}x   speedup {speedup:.2f}x",
-    )
-    assert probe_ratio >= 10.0, (
-        f"closure replaced only {probe_ratio:.1f} N^3 passes per build"
-    )
-    assert work_ratio >= 3.0, (
-        f"closure saved only {work_ratio:.1f}x of the oracle's N^3 work"
-    )
-    assert para_counters.mindist_parametric_evals > 0
-
-
 def _pr3_per_loop_seconds() -> float:
     """Per-loop scheduling time of the first recorded ``corpus_end_to_end``
     run (the PR-3 record) — the trajectory baseline the batched scheduler
@@ -453,10 +345,7 @@ def test_slot_probe_batch(machine, corpus, emit):
 
     # -- full pipeline: batched scheduler vs the recorded PR-3 entry ----
     loops = corpus[:E2E_LOOPS]
-    mii_results = [
-        compute_mii(loop.graph, machine, mindist_impl="fw")
-        for loop in loops
-    ]
+    mii_results = [compute_mii(loop.graph, machine) for loop in loops]
 
     def run(slot_impl):
         counters = Counters()
@@ -472,7 +361,6 @@ def test_slot_probe_batch(machine, corpus, emit):
                     mii_result=mii_result,
                     mrt_impl="mask",
                     slot_impl=slot_impl,
-                    mindist_impl="fw",
                 )
             )
         return perf_counter() - start, counters, results

@@ -104,8 +104,8 @@ from repro.workloads.corpus import CorpusLoop
 #: whenever the meaning of a cached payload changes (new measurements, a
 #: scheduler fix that alters results, a payload schema change) so stale
 #: entries are never resurrected.
-CODE_FORMAT_VERSION = 5  # v5: per-(slot, alternative) findtimeslot_iters,
-# parametric-MinDist counter fields in the cached counter snapshots
+CODE_FORMAT_VERSION = 6  # v6: the parametric-MinDist counter fields left
+# the cached counter snapshots; Counters(**...) must never see a v5 payload
 
 _PAYLOAD_FORMAT = "repro.loop-evaluation.v1"
 TIMING_FORMAT = "repro.engine-timing.v1"
@@ -770,21 +770,18 @@ def _evaluate_loop_task(task: "_LoopTask") -> Dict[str, Any]:
             if degradation is None:
                 phase_box[0] = "mindist"
                 with timer.phase("mindist"):
-                    memo = mii_result.mindist_memo
                     at_mii = schedule_length_lower_bound(
-                        task.loop.graph, mii_result.mii, obs=obs, memo=memo
+                        task.loop.graph, mii_result.mii, obs=obs
                     )
                     if result.ii == mii_result.mii:
                         at_ii = at_mii
                     else:
                         at_ii = schedule_length_lower_bound(
-                            task.loop.graph, result.ii, obs=obs, memo=memo
+                            task.loop.graph, result.ii, obs=obs
                         )
             else:
-                # A degraded schedule is outside the paper's statistics;
-                # skipping the whole-graph MinDist bounds keeps the
-                # fallback path clear of the N^3 work that (on the
-                # deadline rung) already proved pathological.
+                # A degraded schedule is outside the paper's statistics,
+                # so its MinDist bounds are not computed.
                 at_mii = at_ii = 0
             evaluation = LoopEvaluation(
                 loop=task.loop,

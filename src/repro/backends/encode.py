@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.deadline import Deadline, check_deadline
-from repro.core.mindist import NO_PATH, MinDistMemo
+from repro.core.mindist import NO_PATH, compute_mindist, mindist_feasible
 from repro.core.schedule import Schedule
 from repro.core.stats import Counters
 from repro.ir.graph import DependenceGraph
@@ -97,7 +97,6 @@ def encode_exact_ii(
     graph: DependenceGraph,
     machine,
     ii: int,
-    memo: Optional[MinDistMemo] = None,
     counters: Optional[Counters] = None,
     deadline: Optional[Deadline] = None,
     max_slack: Optional[int] = None,
@@ -117,15 +116,11 @@ def encode_exact_ii(
     if ii < 1:
         raise ValueError(f"II must be >= 1, got {ii}")
     check_deadline(deadline, "exact encoding")
-    if memo is None:
-        memo = MinDistMemo(graph)
-    # Under the parametric MinDist the feasibility probe is one
-    # comparison against the closure's precomputed diagonal crossing, so
-    # a recurrence-infeasible II is rejected without ever materializing
-    # its matrix; the windows below are only built for live candidates.
-    if not memo.feasible(ii, counters=counters, deadline=deadline):
+    dist, index = compute_mindist(
+        graph, ii, counters=counters, deadline=deadline
+    )
+    if not mindist_feasible(dist):
         return ExactEncoding(ii, INFEASIBLE, reason="recurrence")
-    dist, index = memo.mindist(ii, counters=counters, deadline=deadline)
 
     compiled_masks = getattr(machine, "compiled_masks", None)
     mask_set = (

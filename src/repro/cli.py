@@ -22,6 +22,7 @@ Usage (see ``python -m repro --help``)::
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from typing import Callable, Dict, List, Optional
@@ -471,6 +472,11 @@ def _cmd_corpus(args, out) -> int:
 
         obs = ObsContext()
     obs = obs if obs is not None else NULL_OBS
+    # Start from a collected heap: otherwise a full cyclic-GC pass over
+    # a long-lived caller's heap (tens of ms) lands in whichever phase
+    # happens to trigger it, and two recordings of the same corpus stop
+    # being comparable phase by phase.
+    gc.collect()
     machine = MACHINES[args.machine]()
     n_synthetic = max(0, args.loops - len(KERNELS))
     with obs.span("frontend", loops=args.loops, seed=args.seed):

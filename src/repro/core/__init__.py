@@ -14,7 +14,7 @@ Public entry points:
 
 from repro.core.stats import Counters
 from repro.core.scc import strongly_connected_components, condensation_order
-from repro.core.mindist import MinDistMemo, compute_mindist, mindist_feasible
+from repro.core.mindist import compute_mindist, mindist_feasible
 from repro.core.mii import MIIResult, compute_mii, res_mii, rec_mii
 from repro.core.heights import height_r
 from repro.core.mrt import (
@@ -56,7 +56,6 @@ __all__ = [
     "condensation_order",
     "compute_mindist",
     "mindist_feasible",
-    "MinDistMemo",
     "MIIResult",
     "compute_mii",
     "res_mii",

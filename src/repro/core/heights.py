@@ -57,6 +57,13 @@ def height_r(
             best = heights[p]
             for edge in graph.succ_edges(p):
                 if edge.succ in members:
+                    # A trivial SCC's only circuit is a self-edge, which
+                    # the fixpoint below never visits: reject it here.
+                    if edge.succ == p and edge.delay > ii * edge.distance:
+                        raise GraphError(
+                            f"graph {graph.name!r}: HeightR diverges at "
+                            f"II={ii} (II is below the RecMII)"
+                        )
                     continue
                 if counters is not None:
                     counters.heightr_inner += 1

@@ -5,75 +5,36 @@ permissible interval between the scheduled time of operation ``i`` and the
 scheduled time of operation ``j`` *of the same iteration*.  An edge ``e``
 from ``i`` to ``j`` contributes ``delay(e) - II * distance(e)``; MinDist is
 the all-pairs longest path under these weights (the (max, +) closure),
-computed Floyd-Warshall style.
+computed Floyd-Warshall style by :func:`compute_mindist`.
 
 A positive diagonal entry means some recurrence circuit requires an
 operation to be scheduled after itself — the II is infeasible.  The RecMII
-is the smallest II with no positive diagonal entry.
+is the smallest II with no positive diagonal entry; :mod:`repro.core.mii`
+finds it the paper's way, one SCC at a time with a doubling-then-binary
+search of :func:`compute_mindist` probes.
 
-Two implementations answer MinDist queries:
-
-* ``fw`` — :func:`compute_mindist`, a direct O(N³) Floyd-Warshall pass at
-  one fixed II.  This is the paper's formulation and stays on as the
-  differential oracle, exactly as the dict MRT backs the bitmask MRT.
-* ``parametric`` (the default) — :class:`ParametricMinDist` runs
-  Floyd-Warshall **once per graph** in the semiring of upper envelopes of
-  lines.  Every path contributes ``delay − II·distance``, a line in the
-  unknown II, so each matrix cell carries the small Pareto frontier of
-  ``(delay, distance)`` pairs that can be maximal for *some* integer
-  II ≥ 1.  Any ``MinDist(II)`` then materializes in O(N²·P) as one
-  vectorized max over the stacked coefficient planes, and the RecMII of a
-  path-closed operation set falls out in closed form — the smallest
-  integer II where the diagonal envelope crosses ≤ 0 — killing the
-  doubling/binary search's repeated N³ probes.
-
-Select the implementation per call site (``MinDistMemo(graph, impl=...)``,
-``compute_mii(..., mindist_impl=...)``) or process-wide with the
-``REPRO_MINDIST_IMPL`` environment variable; see
-:func:`resolve_mindist_impl`.  Both implementations are **bit-identical**
-on every materialized matrix: evaluating the parametric closure at a
-fixed integer II ≥ 1 is a semiring homomorphism onto the scalar (max, +)
-computation, the pruning rule only drops lines dominated at *every*
-integer II ≥ 1, and all values are integer-valued float64s, so even the
-arithmetic is exact.  This is property-tested against random graphs in
-``tests/core/test_mindist_parametric.py`` and over the full corpus in
-``tests/test_differential.py``.
+The dependence bound on schedule length, MinDist[START, STOP], needs one
+row of the matrix, not all of it.  By definition it is HeightR(START)
+(Section 3.2), so :func:`schedule_length_lower_bound` reads it off the
+SCC-wise longest-path solve in :mod:`repro.core.heights` — O(E) per
+non-trivial SCC pass instead of an O(N³) pass over the whole graph.
+``tests/test_differential.py`` holds the bound to
+``compute_mindist(graph, ii)[START, STOP]`` over the corpus.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.deadline import Deadline, check_deadline
+from repro.core.heights import height_r
 from repro.core.stats import Counters
 from repro.ir.graph import DependenceGraph
 
 #: The matrix value standing for "no path from i to j".
 NO_PATH = -np.inf
-
-#: The implementations a MinDist query can be answered by.
-MINDIST_IMPLS = ("parametric", "fw")
-
-#: Environment override consulted when no explicit ``mindist_impl`` is given.
-MINDIST_IMPL_ENV = "REPRO_MINDIST_IMPL"
-
-
-def resolve_mindist_impl(impl: Optional[str] = None) -> str:
-    """Pick the MinDist implementation: explicit arg > environment > parametric."""
-    choice = (
-        impl
-        if impl is not None
-        else os.environ.get(MINDIST_IMPL_ENV, "parametric")
-    )
-    if choice not in MINDIST_IMPLS:
-        raise ValueError(
-            f"unknown MinDist implementation {choice!r}; "
-            f"choose from {MINDIST_IMPLS}"
-        )
-    return choice
 
 
 def compute_mindist(
@@ -132,383 +93,10 @@ def mindist_feasible(dist: np.ndarray) -> bool:
     return bool(np.all(np.diagonal(dist) <= 0))
 
 
-def _prune_planes(
-    vs: np.ndarray, ks: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Keep, per cell, only the Pareto frontier of the stacked lines.
-
-    ``vs`` / ``ks`` are ``(P, n, n)`` coefficient stacks.  A line is
-    ``(V, K)`` with ``V`` its value at II = 1 and ``K`` its distance
-    (the negated slope); an absent line is ``(−inf, +inf)``.  Line *a*
-    dominates line *b* at every integer II ≥ 1 iff ``K_a <= K_b`` and
-    ``V_a >= V_b`` (smaller slope, no lower at the left end).  Sorting
-    each cell by (K ascending, V descending) makes every potential
-    dominator of a line precede it, so one running max of V decides
-    survival; absent lines sort last and never survive.
-    """
-    finite = np.isfinite(vs)
-    if finite.any():
-        big = float(vs[finite].max() - vs[finite].min()) + 1.0
-    else:
-        big = 1.0
-    # K and V are integer-valued, so K*big - V orders by (K asc, V desc):
-    # consecutive K values differ by >= 1 and big exceeds the V spread.
-    order = np.argsort(ks * big - vs, axis=0, kind="stable")
-    vs = np.take_along_axis(vs, order, axis=0)
-    ks = np.take_along_axis(ks, order, axis=0)
-    cum = np.maximum.accumulate(vs, axis=0)
-    keep = np.empty(vs.shape, dtype=bool)
-    keep[0] = vs[0] > NO_PATH
-    keep[1:] = vs[1:] > cum[:-1]
-    new_p = max(1, int(keep.sum(axis=0).max()))
-    front = np.argsort(~keep, axis=0, kind="stable")
-    kept = np.take_along_axis(keep, front, axis=0)[:new_p]
-    vs = np.where(kept, np.take_along_axis(vs, front, axis=0)[:new_p], NO_PATH)
-    ks = np.where(kept, np.take_along_axis(ks, front, axis=0)[:new_p], np.inf)
-    return vs, ks
-
-
-class ParametricMinDist:
-    """All-pairs MinDist as a function of II, closed once per graph.
-
-    Floyd-Warshall in the semiring of upper envelopes of lines: a path
-    with total delay D and total distance K is the line ``D − II·K``.
-    Concatenation adds lines (Minkowski sum of the coefficient pairs);
-    "take the longer path" is the pointwise max of envelopes, i.e. the
-    union of line sets pruned to the Pareto frontier.  Internally a line
-    is stored as ``(V, K)`` with ``V = D − K`` its value at II = 1 —
-    both coordinates add under concatenation, which keeps the pivot
-    update to two array additions.  Cells are stacked into P coefficient
-    planes (P = the largest frontier anywhere in the matrix; P = 1 is
-    the overwhelmingly common case and takes a cheaper in-place path).
-
-    Evaluating the closure at a fixed integer II ≥ 1 is a semiring
-    homomorphism onto the scalar (max, +) Floyd-Warshall, so
-    :meth:`matrix` is bit-identical to :func:`compute_mindist` — at
-    feasible *and* infeasible IIs, including −inf no-path cells.
-
-    ``deadline`` is honored exactly like :func:`compute_mindist`: one
-    check on entry and one every 16 pivot rows, tagged ``mindist``.
-    """
-
-    def __init__(
-        self,
-        graph: DependenceGraph,
-        ops: Optional[Sequence[int]] = None,
-        counters: Optional[Counters] = None,
-        deadline: Optional[Deadline] = None,
-    ) -> None:
-        check_deadline(deadline, "mindist")
-        if ops is None:
-            ops = range(graph.n_ops)
-        self.graph = graph
-        self.ops = tuple(ops)
-        self.index_map: Dict[int, int] = {
-            op: i for i, op in enumerate(self.ops)
-        }
-        self.n = len(self.ops)
-        self.evals = 0
-        self._build(counters, deadline)
-
-    # -- construction --------------------------------------------------
-
-    def _build(
-        self, counters: Optional[Counters], deadline: Optional[Deadline]
-    ) -> None:
-        n = self.n
-        # Seed each cell with the frontier of its (parallel) edge lines.
-        cells: Dict[Tuple[int, int], List[Tuple[float, float]]] = {}
-        for op in self.ops:
-            i = self.index_map[op]
-            for edge in self.graph.succ_edges(op):
-                j = self.index_map.get(edge.succ)
-                if j is None:
-                    continue
-                v = float(edge.delay - edge.distance)
-                k = float(edge.distance)
-                lines = cells.setdefault((i, j), [])
-                if any(lk <= k and lv >= v for lv, lk in lines):
-                    continue
-                lines[:] = [
-                    (lv, lk)
-                    for lv, lk in lines
-                    if not (k <= lk and v >= lv)
-                ]
-                lines.append((v, k))
-        depth = max((len(lines) for lines in cells.values()), default=1)
-        planes_v = [np.full((n, n), NO_PATH) for _ in range(depth)]
-        planes_k = [np.full((n, n), np.inf) for _ in range(depth)]
-        for (i, j), lines in cells.items():
-            for p, (v, k) in enumerate(lines):
-                planes_v[p][i, j] = v
-                planes_k[p][i, j] = k
-
-        V = np.stack(planes_v)  # (P, n, n) stacked coefficient planes
-        K = np.stack(planes_k)
-        # Per-(plane, op) presence of any finite entry in that op's
-        # column/row, refreshed lazily: once the closure converges
-        # (most pivots), V never mutates, so the same masks answer every
-        # remaining pivot from plain python lists.
-        alive = True  # force initial refresh
-        for piv in range(n):
-            if deadline is not None and (piv & 15) == 0:
-                deadline.check("mindist")
-            if alive:
-                finite = V > NO_PATH
-                col_alive = finite.any(axis=1).T.tolist()  # [op][plane]
-                row_alive = finite.any(axis=2).T.tolist()
-                alive = False
-            # Only planes with a finite entry in the pivot column (paths
-            # reaching the pivot) and row (paths leaving it) can route a
-            # new path; their cross product — usually 1x1, never all P²
-            # plane pairs — is the candidate set, batched into one
-            # stack and screened by one dominance broadcast.
-            cols = [p for p, a in enumerate(col_alive[piv]) if a]
-            rows = [q for q, a in enumerate(row_alive[piv]) if a]
-            if not (cols and rows):
-                continue
-            col_v = V[cols, :, piv][:, None, :, None]  # (Pc, 1, n, 1)
-            col_k = K[cols, :, piv][:, None, :, None]
-            row_v = V[rows, piv, :][None, :, None, :]  # (1, Pr, 1, n)
-            row_k = K[rows, piv, :][None, :, None, :]
-            cand_v = (col_v + row_v).reshape(-1, n, n)
-            cand_k = (col_k + row_k).reshape(-1, n, n)
-            # A candidate line only matters at cells where no current
-            # line dominates it (dropping a dominated line never changes
-            # the envelope at any integer II >= 1).
-            improve = ~(
-                (K[None, :] <= cand_k[:, None]) & (V[None, :] >= cand_v[:, None])
-            ).any(axis=1)
-            if not improve.any():
-                continue
-            # Merge each improving candidate: overwrite lines it
-            # dominates, stage a sparse plane for the rest.  The batch
-            # ``improve`` masks go stale as merges land, which at worst
-            # appends an already-dominated line — the envelope (a max)
-            # is unchanged, and pruning compacts it away.
-            appends = []
-            for c in np.flatnonzero(improve.any(axis=(1, 2))):
-                cand_vc, cand_kc, imp = cand_v[c], cand_k[c], improve[c]
-                for p in range(len(V)):
-                    take = imp & (cand_kc <= K[p]) & (cand_vc >= V[p])
-                    if take.any():
-                        np.copyto(V[p], cand_vc, where=take)
-                        np.copyto(K[p], cand_kc, where=take)
-                        imp &= ~take
-                        if not imp.any():
-                            break
-                if imp.any():
-                    appends.append(
-                        (
-                            np.where(imp, cand_vc, NO_PATH),
-                            np.where(imp, cand_kc, np.inf),
-                        )
-                    )
-            alive = True
-            if appends:
-                V = np.concatenate([V] + [[a[0]] for a in appends])
-                K = np.concatenate([K] + [[a[1]] for a in appends])
-                if len(V) > 8:
-                    V, K = _prune_planes(V, K)
-
-        # Final compaction: lines dominated by later arrivals never
-        # affect results, but fewer planes make every later
-        # ``matrix(II)`` evaluation cheaper.
-        if len(V) > 1:
-            V, K = _prune_planes(V, K)
-        self.n_planes = len(V)
-        self._v = V
-        stacked_k = K
-        # Canonicalize absent lines to (V=-inf, K=0): evaluation then
-        # yields -inf with no inf*0 hazards, with no masking per eval.
-        self._k = np.where(np.isinf(stacked_k), 0.0, stacked_k)
-
-        # Closed-form RecMII ingredients from the diagonal frontier:
-        # a circuit line needs D - II*K <= 0, i.e. II >= ceil(D / K);
-        # D > 0 with K == 0 is a zero-distance circuit no II satisfies.
-        idx = np.arange(n)
-        diag_v = self._v[:, idx, idx]
-        diag_k = self._k[:, idx, idx]
-        diag_d = diag_v + diag_k
-        positive = diag_d > 0
-        self._op_impossible = np.any(positive & (diag_k == 0), axis=0)
-        required = np.ones_like(diag_d)
-        bounded = positive & (diag_k > 0)
-        required[bounded] = np.ceil(diag_d[bounded] / diag_k[bounded])
-        per_op = (
-            np.maximum(required.max(axis=0), 1.0)
-            if n
-            else np.ones(0, dtype=float)
-        )
-        self._op_crossing = np.where(self._op_impossible, np.inf, per_op)
-
-        if counters is not None:
-            counters.mindist_closure_inner += n * n * n
-
-    # -- queries -------------------------------------------------------
-
-    def matrix(
-        self, ii: int, counters: Optional[Counters] = None
-    ) -> np.ndarray:
-        """Materialize MinDist at ``ii``: one vectorized max over planes.
-
-        Bit-identical to ``compute_mindist(graph, ii, ops)[0]``.
-        """
-        if ii < 1:
-            raise ValueError(f"II must be >= 1, got {ii}")
-        dist = (self._v + (1.0 - ii) * self._k).max(axis=0)
-        self.evals += 1
-        if counters is not None:
-            counters.mindist_parametric_evals += 1
-        return dist
-
-    def crossing(self, ops: Optional[Sequence[int]] = None) -> float:
-        """Smallest integer II ≥ 1 with no positive diagonal over ``ops``.
-
-        Returns ``inf`` when a zero-distance circuit with positive delay
-        makes every II infeasible.  ``ops`` defaults to the closure's
-        whole operation set; a subset answer is only meaningful when the
-        subset is closed under paths of this closure's graph — an SCC,
-        or a union of SCCs.  (Every path between two vertices of an SCC
-        stays inside it, so the whole-graph closure's diagonal restricted
-        to the SCC equals the SCC-subgraph closure's diagonal.)
-        """
-        if ops is None:
-            per_op = self._op_crossing
-        else:
-            per_op = self._op_crossing[[self.index_map[op] for op in ops]]
-        if per_op.size == 0:
-            return 1.0
-        return float(per_op.max())
-
-    def feasible(self, ii: int, ops: Optional[Sequence[int]] = None) -> bool:
-        """True when ``ii`` is at or past :meth:`crossing` (see its caveat)."""
-        if ii < 1:
-            raise ValueError(f"II must be >= 1, got {ii}")
-        return ii >= self.crossing(ops)
-
-
-class MinDistMemo:
-    """Memo of ``(ops, II) -> MinDist matrix`` for one graph's analysis.
-
-    ComputeMinDist is the N³ term of the paper's cost model, and the II
-    search probes it repeatedly: the RecMII search per SCC, then
-    whole-graph passes for the schedule-length bounds and the exact
-    backend's per-II windows.  One memo object covers one graph's
-    pipeline (``compute_mii`` creates it and hands it on via
-    :attr:`repro.core.mii.MIIResult.mindist_memo`), so no (ops, II) pair
-    is ever recomputed — while keeping the memo *explicitly scoped*: the
-    cost-model benchmarks that compare per-SCC against whole-graph
-    RecMII still measure real work, because each arm brings its own memo
-    (or none).
-
-    ``impl`` picks how misses are answered (see
-    :func:`resolve_mindist_impl`): under ``"parametric"`` the memo
-    builds one :class:`ParametricMinDist` closure per distinct ops set
-    and materializes matrices from it in O(N²·P); under ``"fw"`` every
-    miss is a fresh O(N³) :func:`compute_mindist` pass.  Either way the
-    matrices handed out are bit-identical.
-    """
-
-    def __init__(
-        self, graph: DependenceGraph, impl: Optional[str] = None
-    ) -> None:
-        self.graph = graph
-        self.impl = resolve_mindist_impl(impl)
-        # The all-ops key is by far the most probed; build it once
-        # instead of re-tupling range(n_ops) on every bound.
-        self._all_ops_key = tuple(range(graph.n_ops))
-        self._entries: Dict[Tuple[Tuple[int, ...], int], Tuple] = {}
-        self._closures: Dict[Tuple[int, ...], ParametricMinDist] = {}
-        self.hits = 0
-        self.misses = 0
-
-    @property
-    def all_ops_key(self) -> Tuple[int, ...]:
-        """The canonical (cached) key for whole-graph queries."""
-        return self._all_ops_key
-
-    def _ops_key(self, ops: Optional[Sequence[int]]) -> Tuple[int, ...]:
-        return self._all_ops_key if ops is None else tuple(ops)
-
-    @property
-    def parametric_evals(self) -> int:
-        """Matrices materialized from this memo's parametric closures."""
-        return sum(c.evals for c in self._closures.values())
-
-    def closure(
-        self,
-        ops: Optional[Sequence[int]] = None,
-        counters: Optional[Counters] = None,
-        deadline: Optional[Deadline] = None,
-    ) -> ParametricMinDist:
-        """The (cached) parametric closure over ``ops``.
-
-        A build counts as a miss (the fresh N³-equivalent pass); a
-        cached closure counts as a hit — any query it answers, at any
-        II, is served from already-computed state.
-        """
-        key = self._ops_key(ops)
-        closure = self._closures.get(key)
-        if closure is None:
-            self.misses += 1
-            closure = ParametricMinDist(self.graph, key, counters, deadline)
-            self._closures[key] = closure
-        else:
-            self.hits += 1
-        return closure
-
-    def mindist(
-        self,
-        ii: int,
-        ops: Optional[Sequence[int]] = None,
-        counters: Optional[Counters] = None,
-        deadline: Optional[Deadline] = None,
-    ) -> Tuple[np.ndarray, Dict[int, int]]:
-        """Memoized MinDist matrix over this memo's graph."""
-        ops_key = self._ops_key(ops)
-        entry = self._entries.get((ops_key, ii))
-        if entry is not None:
-            self.hits += 1
-            return entry
-        if self.impl == "parametric":
-            # closure() does the hit/miss accounting: materializing a
-            # matrix from an already-built closure is served from memo
-            # state, only the build itself is a miss.
-            closure = self.closure(ops_key, counters, deadline)
-            entry = (closure.matrix(ii, counters), closure.index_map)
-        else:
-            self.misses += 1
-            entry = compute_mindist(self.graph, ii, ops_key, counters, deadline)
-        self._entries[(ops_key, ii)] = entry
-        return entry
-
-    def feasible(
-        self,
-        ii: int,
-        ops: Optional[Sequence[int]] = None,
-        counters: Optional[Counters] = None,
-        deadline: Optional[Deadline] = None,
-    ) -> bool:
-        """Memoized feasibility probe (no positive MinDist diagonal).
-
-        Under the parametric implementation this never materializes a
-        matrix: feasibility is one comparison against the closure's
-        precomputed diagonal crossing.
-        """
-        if self.impl == "parametric":
-            closure = self.closure(ops, counters, deadline)
-            return closure.feasible(ii)
-        dist, _ = self.mindist(ii, ops, counters, deadline)
-        return mindist_feasible(dist)
-
-
 def schedule_length_lower_bound(
     graph: DependenceGraph,
     ii: int,
-    counters: Optional[Counters] = None,
     obs=None,
-    memo: Optional[MinDistMemo] = None,
     deadline: Optional[Deadline] = None,
 ) -> int:
     """MinDist[START, STOP]: the dependence-imposed lower bound on SL.
@@ -517,36 +105,18 @@ def schedule_length_lower_bound(
     the larger of this quantity and the acyclic list schedule length
     (Section 4.2); the baseline package provides the latter.
 
-    ``obs`` (an optional :class:`repro.obs.ObsContext`) receives one
-    ``mindist.bound`` span per call plus the deterministic
-    ``mindist.parametric_evals`` counter (matrices served from a
-    parametric closure rather than an N³ pass).  Passing the ``memo``
-    carried by a prior MII computation (see :class:`MinDistMemo`) makes
-    repeated bounds for one graph free — and under the parametric
-    implementation even the first bound at a new II is only an O(N²·P)
-    evaluation of the already-closed envelope.  Without a memo the
-    direct Floyd-Warshall pass is used: a one-shot bound has no II
-    search to amortize a closure over.
+    The value is HeightR(START) at ``ii`` (see the module docstring).  No
+    counters are billed: Table 4's HeightR row counts the scheduler's
+    work only.  Raises :class:`~repro.ir.graph.GraphError` when ``ii`` is
+    below the RecMII, where no longest path exists.  ``obs`` (an
+    optional :class:`repro.obs.ObsContext`) receives one
+    ``mindist.bound`` span per call; ``deadline`` is checked on entry.
     """
     from repro.obs.context import NULL_OBS
 
     obs = obs if obs is not None else NULL_OBS
+    check_deadline(deadline, "mindist.bound")
     with obs.span("mindist.bound", ii=ii, n_ops=graph.n_ops) as span:
-        if memo is not None and memo.graph is graph:
-            before_hits = memo.hits
-            before_evals = memo.parametric_evals
-            dist, index_map = memo.mindist(
-                ii, counters=counters, deadline=deadline
-            )
-            span.set("cache_hit", memo.hits > before_hits)
-            obs.counter("mindist.parametric_evals").inc(
-                memo.parametric_evals - before_evals
-            )
-        else:
-            dist, index_map = compute_mindist(
-                graph, ii, counters=counters, deadline=deadline
-            )
-        value = dist[index_map[graph.START], index_map[graph.stop]]
-        bound = 0 if value == NO_PATH else int(value)
+        bound = height_r(graph, ii)[graph.START]
         span.set("bound", bound)
     return bound

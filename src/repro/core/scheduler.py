@@ -669,7 +669,6 @@ def modulo_schedule(
     mrt_impl: Optional[str] = None,
     deadline: Optional[Deadline] = None,
     slot_impl: Optional[str] = None,
-    mindist_impl: Optional[str] = None,
 ) -> ModuloScheduleResult:
     """ModuloSchedule (Figure 2): find a legal modulo schedule.
 
@@ -723,12 +722,6 @@ def modulo_schedule(
         per-alternative scan), or ``None`` to consult
         ``REPRO_SLOT_IMPL``.  Schedules and counters are identical
         either way.
-    mindist_impl:
-        MinDist implementation forwarded to
-        :func:`repro.core.mii.compute_mii` when ``mii_result`` is not
-        supplied: ``"parametric"`` (one envelope-semiring closure per
-        graph, the default), ``"fw"`` (the per-II Floyd-Warshall
-        oracle), or ``None`` to consult ``REPRO_MINDIST_IMPL``.
     deadline:
         Optional cooperative :class:`repro.core.deadline.Deadline`.
         Checked before every II attempt and every 32 operation-scheduling
@@ -767,7 +760,7 @@ def modulo_schedule(
     if mii_result is None:
         mii_result = compute_mii(
             graph, machine, counters, exact=exact_mii, obs=obs,
-            deadline=deadline, mindist_impl=mindist_impl,
+            deadline=deadline,
         )
     if max_ii is None:
         max_ii = default_max_ii(graph, mii_result.mii)

@@ -7,11 +7,6 @@ executes as a function of N, the number of operations in the loop.  The
 the same quantities:
 
 * ``mindist_inner`` — innermost-loop executions of ComputeMinDist,
-* ``mindist_closure_inner`` — innermost-loop executions of the parametric
-  closure build (one N³-equivalent pass per graph, amortized over every
-  II the search probes),
-* ``mindist_parametric_evals`` — MinDist matrices materialized from an
-  already-built parametric closure (each one O(N²·P), not N³),
 * ``heightr_inner`` — edge relaxations when solving the HeightR equations,
 * ``estart_preds`` — predecessor edges examined while computing Estart,
 * ``findtimeslot_iters`` — time slots examined by FindTimeSlot,
@@ -32,8 +27,6 @@ class Counters:
 
     mindist_inner: int = 0
     mindist_invocations: int = 0
-    mindist_closure_inner: int = 0
-    mindist_parametric_evals: int = 0
     heightr_inner: int = 0
     estart_preds: int = 0
     findtimeslot_iters: int = 0

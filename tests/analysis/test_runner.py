@@ -44,6 +44,15 @@ class TestEvaluation:
         assert sample.counters.findtimeslot_iters > 0
         assert sample.counters.mindist_invocations >= 0
 
+    def test_table4_mindist_row_is_counted(self, machine, corpus):
+        """Table 4's "MII calculation (MinDist inner)" row: RecMII runs
+        ComputeMinDist per non-trivial SCC, and every pass is billed."""
+        loop = next(l for l in corpus if l.name == "iir_filter2")
+        evaluation = evaluate_loop(loop, machine)
+        assert evaluation.mii_result.n_nontrivial_sccs > 0
+        assert evaluation.counters.mindist_invocations > 0
+        assert evaluation.counters.mindist_inner > 0
+
     def test_single_loop_evaluation(self, machine, corpus):
         evaluation = evaluate_loop(corpus[0], machine)
         assert evaluation.loop is corpus[0]

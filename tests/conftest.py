@@ -2,7 +2,14 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 from repro.ir import DependenceGraph, DependenceKind
 from repro.machine import (
@@ -12,6 +19,35 @@ from repro.machine import (
     superscalar_machine,
     two_alu_machine,
 )
+
+#: Address-space cap for the whole test session (``RLIMIT_AS``).  A kernel
+#: whose memory has no bound then fails as a ``MemoryError``, with
+#: hypothesis's shrunk example, instead of exhausting the machine.
+SESSION_MEMORY_CAP = 4 * 1024**3
+
+
+def pytest_configure(config):
+    """Lower the soft address-space limit to the session cap.
+
+    Only ever lowers it: a tighter limit set by the caller (``ulimit -v``)
+    stays in force.
+    """
+    if resource is None:
+        return
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    if soft == resource.RLIM_INFINITY or soft > SESSION_MEMORY_CAP:
+        resource.setrlimit(resource.RLIMIT_AS, (SESSION_MEMORY_CAP, hard))
+
+
+def traced_peak(function, *args, **kwargs):
+    """``(result, peak bytes)`` of one call, as tracemalloc saw it."""
+    tracemalloc.start()
+    try:
+        result = function(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture

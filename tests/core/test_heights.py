@@ -51,6 +51,14 @@ class TestCyclic:
         with pytest.raises(GraphError):
             height_r(graph, ii=3)
 
+    def test_self_loop_diverges_below_recmii(self, alu):
+        """A trivial SCC's self-edge is a circuit too: at II below its
+        ceil(delay / distance) there is no finite HeightR."""
+        graph = reduction_graph(alu, acc_op="fmul")  # self-loop delay 3
+        height_r(graph, ii=3)
+        with pytest.raises(GraphError):
+            height_r(graph, ii=2)
+
     def test_interiteration_successor_discounted(self, alu):
         graph = reduction_graph(alu)  # acc self-loop distance 1 delay 1
         heights = height_r(graph, ii=2)

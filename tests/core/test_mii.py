@@ -2,16 +2,26 @@
 
 import pytest
 
-from repro.core import Counters, MinDistMemo, compute_mii, rec_mii, res_mii
-from repro.core.mindist import schedule_length_lower_bound
+from repro.core import Counters, compute_mii, rec_mii, res_mii
+from repro.core.mindist import (
+    compute_mindist,
+    mindist_feasible,
+    schedule_length_lower_bound,
+)
 from repro.ir import DependenceGraph, DependenceKind, GraphError
 from repro.machine import (
     cydra5,
     single_alu_machine,
     two_alu_machine,
 )
+from repro.workloads.synthetic import SyntheticConfig, synthetic_graph
 
-from tests.conftest import chain_graph, cross_iteration_graph, reduction_graph
+from tests.conftest import (
+    chain_graph,
+    cross_iteration_graph,
+    reduction_graph,
+    traced_peak,
+)
 
 
 @pytest.fixture
@@ -175,106 +185,38 @@ class TestComputeMII:
         assert rec_mii(graph) == 32
 
 
-class TestMinDistMemoization:
-    def test_warm_memo_recomputes_nothing(self, alu):
-        """A second RecMII search over the same fw memo performs zero
-        fresh ComputeMinDist passes — every probe is a cache hit."""
-        graph = cross_iteration_graph(alu, distance=1)
-        memo = MinDistMemo(graph, impl="fw")
-        cold = Counters()
-        assert rec_mii(graph, counters=cold, memo=memo) == 4
-        assert cold.mindist_invocations > 0
-        assert memo.misses == cold.mindist_invocations
-        warm = Counters()
-        assert rec_mii(graph, counters=warm, memo=memo) == 4
-        assert warm.mindist_invocations == 0
-        assert memo.hits >= memo.misses
+class TestRecMIIProbes:
+    """Nothing is memoized: every RecMII probe is a fresh ComputeMinDist
+    pass over one SCC, billed to the Table-4 counters, and the paper's
+    search never needs a memo because it never repeats a probe."""
 
-    def test_warm_parametric_memo_recomputes_nothing(self, alu):
-        """Under the parametric default the closure is built exactly once
-        (the only miss); a warm RecMII does no fresh N³-equivalent work."""
-        graph = cross_iteration_graph(alu, distance=1)
-        memo = MinDistMemo(graph, impl="parametric")
-        cold = Counters()
-        assert rec_mii(graph, counters=cold, memo=memo) == 4
-        assert cold.mindist_invocations == 0
-        assert cold.mindist_closure_inner > 0
-        assert memo.misses == 1
-        warm = Counters()
-        assert rec_mii(graph, counters=warm, memo=memo) == 4
-        assert warm.mindist_closure_inner == 0
-        assert memo.misses == 1
-        assert memo.hits >= 1
+    def test_search_never_probes_a_pair_twice(self, alu, monkeypatch):
+        import repro.core.mii as mii_module
 
-    def test_compute_mii_carries_the_memo_out(self, alu):
-        graph = cross_iteration_graph(alu, distance=1)
-        result = compute_mii(graph, alu)
-        assert result.mindist_memo is not None
-        assert result.mindist_memo.graph is graph
-        assert result.mindist_memo.misses > 0
+        probes = []
+        real = mii_module.compute_mindist
 
-    def test_bound_reuses_feasible_ii_matrices(self, alu):
-        """Repeated schedule-length bounds at one II cost one whole-graph
-        Floyd-Warshall pass in total when the fw MII memo is passed back."""
-        graph = cross_iteration_graph(alu, distance=1)
-        result = compute_mii(graph, alu, mindist_impl="fw")
-        memo = result.mindist_memo
+        def recording(graph, ii, ops=None, *args, **kwargs):
+            probes.append((tuple(ops), ii))
+            return real(graph, ii, ops, *args, **kwargs)
+
+        monkeypatch.setattr(mii_module, "compute_mindist", recording)
+        graph = DependenceGraph(alu)
+        ops = [graph.add_operation("fdiv", dest=f"v{i}") for i in range(4)]
+        for left, right in zip(ops, ops[1:]):
+            graph.add_edge(left, right, DependenceKind.FLOW)
+        graph.add_edge(ops[-1], ops[0], DependenceKind.FLOW, distance=1)
+        graph.seal()
         counters = Counters()
-        first = schedule_length_lower_bound(
-            graph, result.mii, counters, memo=memo
-        )
-        after_first = counters.mindist_invocations
-        assert after_first == 1
-        second = schedule_length_lower_bound(
-            graph, result.mii, counters, memo=memo
-        )
-        assert second == first
-        assert counters.mindist_invocations == after_first
-        assert memo.hits >= 1
-
-    def test_bound_materializes_from_the_parametric_closure(self, alu):
-        """Under the parametric default a bound at a fresh II is one
-        O(N²·P) evaluation of the already-closed envelope — no new
-        Floyd-Warshall pass — and repeating it is an entry cache hit."""
-        graph = cross_iteration_graph(alu, distance=1)
-        result = compute_mii(graph, alu, mindist_impl="parametric")
-        memo = result.mindist_memo
-        counters = Counters()
-        first = schedule_length_lower_bound(
-            graph, result.mii, counters, memo=memo
-        )
-        assert counters.mindist_invocations == 0
-        assert counters.mindist_parametric_evals == 1
-        second = schedule_length_lower_bound(
-            graph, result.mii, counters, memo=memo
-        )
-        assert second == first
-        assert counters.mindist_parametric_evals == 1
-        assert memo.hits >= 1
-
-    def test_memo_for_another_graph_is_ignored(self, alu):
-        stale = MinDistMemo(cross_iteration_graph(alu, distance=2))
-        graph = cross_iteration_graph(alu, distance=1)
-        counters = Counters()
-        bound = schedule_length_lower_bound(graph, 4, counters, memo=stale)
-        assert bound == schedule_length_lower_bound(graph, 4)
-        assert counters.mindist_invocations == 1
-        assert not stale.hits and not stale.misses
-
-    def test_mindist_cache_hits_metric_emitted(self, alu):
-        from repro.obs import ObsContext
-
-        obs = ObsContext()
-        graph = cross_iteration_graph(alu, distance=1)
-        compute_mii(graph, alu, obs=obs)
-        counters = obs.metrics.snapshot()["counters"]
-        assert "mii.mindist_cache_hits" in counters
-        assert counters["mii.mindist_cache_hits"] >= 0
+        assert rec_mii(graph, counters=counters) == 32
+        assert len(probes) > 4  # doubling steps and a binary search
+        assert len(set(probes)) == len(probes)
+        assert counters.mindist_invocations == len(probes)
+        assert counters.mindist_inner == len(probes) * 4**3
 
     def test_whole_graph_ablation_measures_real_work_by_default(self, alu):
-        """rec_mii_whole_graph must not silently share a memo — each call
-        without one pays the full ComputeMinDist cost (the Section 2.2
-        ablation depends on this)."""
+        """Each rec_mii_whole_graph call pays the full ComputeMinDist
+        cost (the Section 2.2 ablation depends on this)."""
         from repro.core.mii import rec_mii_whole_graph
 
         graph = cross_iteration_graph(alu, distance=1)
@@ -282,3 +224,28 @@ class TestMinDistMemoization:
         assert rec_mii_whole_graph(graph, counters=first) == 4
         assert rec_mii_whole_graph(graph, counters=second) == 4
         assert second.mindist_invocations == first.mindist_invocations > 0
+
+
+#: All-recurrent synthetic loops with large SCCs (33-41 ops).  A
+#: once-per-graph parametric MinDist closure exhausted a 2 GiB address
+#: space on each of these seeds.
+RECURRENCE_HEAVY = SyntheticConfig(
+    p_recurrent=1.0, p_extra_scc=0.6, log_mu=3.2, p_scc_growth=0.7
+)
+
+
+class TestRecurrenceHeavyLoops:
+    @pytest.mark.parametrize("seed", [70, 220, 236])
+    def test_mii_in_bounded_memory(self, seed):
+        machine = cydra5()
+        graph = synthetic_graph(machine, seed=seed, config=RECURRENCE_HEAVY)
+        result, peak = traced_peak(compute_mii, graph, machine)
+        assert peak < 16 * 2**20
+        at_rec, _ = compute_mindist(graph, result.rec_mii)
+        below, _ = compute_mindist(graph, result.rec_mii - 1)
+        assert mindist_feasible(at_rec)
+        assert not mindist_feasible(below)
+        dist, index = compute_mindist(graph, result.mii)
+        assert schedule_length_lower_bound(graph, result.mii) == int(
+            dist[index[graph.START], index[graph.stop]]
+        )

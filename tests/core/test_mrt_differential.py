@@ -6,7 +6,10 @@ after every step they must agree on every observable — ``conflicts``,
 and with exactly which :class:`ReservationConflict` message, and the
 byte-exact ``render`` output.  The factory/flag plumbing and the wide
 reservation-table regression (the old ``reserve`` probed an O(uses)
-list per use) live here too.
+list per use) live here too, as does the batched FindTimeSlot probe
+(:meth:`ModuloReservations.first_free_slot`) against the scalar
+time-major, alternative-minor scan: same placement, same as-if probe
+accounting.
 """
 
 from __future__ import annotations
@@ -233,3 +236,85 @@ class TestWideTableRegression:
         outcome_oracle = _apply(oracle, ("reserve", 1, 0, 3), [table])
         assert outcome_mask == outcome_oracle
         assert mask.occupancy() == oracle.occupancy()
+
+
+# ----------------------------------------------------------------------
+# Batched FindTimeSlot vs the scalar scan.
+
+
+@st.composite
+def slot_scenarios(draw):
+    """A partially filled MRT plus a probe: random II, resources,
+    reservation shapes (self-conflicting ones included), and min_time."""
+    ii = draw(st.integers(min_value=1, max_value=8))
+    resources = [f"r{i}" for i in range(draw(st.integers(1, 3)))]
+
+    def table(tag):
+        uses = draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(resources),
+                    st.integers(min_value=0, max_value=6),
+                ),
+                min_size=1,
+                max_size=4,
+                unique=True,
+            )
+        )
+        return ReservationTable(tag, uses)
+
+    mrt = ModuloReservations(ii)
+    op = 0
+    for i in range(draw(st.integers(min_value=0, max_value=5))):
+        candidate = table(f"fill{i}")
+        time = draw(st.integers(min_value=0, max_value=2 * ii))
+        if not mrt.conflicts(candidate, time):
+            mrt.reserve(op, candidate, time)
+            op += 1
+    alternatives = [
+        table(f"alt{i}")
+        for i in range(draw(st.integers(min_value=1, max_value=3)))
+    ]
+    min_time = draw(st.integers(min_value=0, max_value=3 * ii))
+    return mrt, alternatives, min_time
+
+
+def _scalar_scan(mrt, alternatives, min_time):
+    """The oracle: probe every (slot, alternative) pair in scan order."""
+    for time in range(min_time, min_time + mrt.ii):
+        for idx, alternative in enumerate(alternatives):
+            if not mrt.conflicts(alternative, time):
+                return time, idx
+    return None, None
+
+
+class TestFirstFreeSlotParity:
+    @settings(max_examples=120, deadline=None)
+    @given(scenario=slot_scenarios())
+    def test_batch_matches_the_scalar_scan(self, scenario):
+        """Same placement, same winning alternative, and the same
+        ``checks`` accounting as if the scalar scan had run."""
+        mrt, alternatives, min_time = scenario
+        before = mrt.checks
+        expected = _scalar_scan(mrt, alternatives, min_time)
+        scalar_probes = mrt.checks - before
+        before = mrt.checks
+        got = mrt.first_free_slot(alternatives, min_time)
+        assert got == expected
+        assert mrt.checks - before == scalar_probes
+
+    def test_ties_go_to_the_earliest_declared_alternative(self):
+        mrt = ModuloReservations(4)
+        a = ReservationTable("a", [("r0", 0)])
+        b = ReservationTable("b", [("r0", 0)])
+        time, index = mrt.first_free_slot([a, b], min_time=3)
+        assert (time, index) == (3, 0)
+
+    def test_full_window_reports_no_slot(self):
+        mrt = ModuloReservations(2)
+        blocker = ReservationTable("blk", [("r0", 0), ("r0", 1)])
+        mrt.reserve(0, blocker, 0)
+        probe = ReservationTable("p", [("r0", 0)])
+        before = mrt.checks
+        assert mrt.first_free_slot([probe], min_time=5) == (None, None)
+        assert mrt.checks - before == mrt.ii  # ii slots x one alternative

@@ -7,7 +7,8 @@ quietly return (see docs/VERIFICATION.md for the stories).
 
 import pytest
 
-from repro.core import modulo_schedule
+from repro.core import compute_mii, modulo_schedule
+from repro.core.mindist import compute_mindist, mindist_feasible
 from repro.loopir import compile_loop_full
 from repro.loopir.ast import (
     ArrayRef,
@@ -27,6 +28,8 @@ from repro.loopir.ifconv import if_convert
 from repro.loopir.lower import lower_loop
 from repro.machine import cydra5, two_alu_machine
 from repro.simulator import check_equivalence
+
+from tests.conftest import traced_peak
 
 
 def _verify(loop_or_source, machine, n=13, seeds=(0, 1, 2, 5)):
@@ -124,3 +127,31 @@ class TestFuzzRegressions:
             "    y[i] = t + u + s\n",
             machine,
         )
+
+
+def test_find6_dense_recurrence_in_bounded_memory():
+    """A 37-op loop (156 edges, one 23-op SCC) on which a once-per-graph
+    parametric MinDist closure grew to 1.6 GB of Pareto planes.  The
+    per-SCC ComputeMinDist search answers in well under 16 MiB."""
+    machine = two_alu_machine()
+    loop = Loop("i", "n", [
+        If(Compare("<", Num(3.0), Num(0.0)),
+           [Assign("t", Num(-2.34)), Store("c", 1, Scalar("t"))],
+           [Assign("s", IndirectRef("a", ArrayRef("idx", 0)))]),
+        If(Compare("<", BinOp("+", Num(0.0), ArrayRef("a", -2)), Num(2.0)),
+           [Store("a", 2, Num(-0.0)),
+            Store("c", 2, BinOp("-", BinOp("+", ArrayRef("b", 1), ArrayRef("a", 0)),
+                                IndirectRef("a", ArrayRef("idx", -1))))],
+           [Assign("t", BinOp("-", Scalar("u"), IVar())), Assign("u", ArrayRef("a", 2))]),
+        Store("a", 2, BinOp("*", Num(3.47), ArrayRef("c", 0))),
+        If(Compare(">=", IndirectRef("c", ArrayRef("idx", 0)), Num(-1.26)),
+           [Store("a", 1, ArrayRef("b", 1))], []),
+    ], name="fuzz")
+    graph = lower_loop(loop, if_convert(loop), machine).graph
+    assert (graph.n_ops, graph.n_edges) == (37, 156)
+    result, peak = traced_peak(compute_mii, graph, machine)
+    assert (result.mii, result.rec_mii) == (18, 15)
+    assert peak < 16 * 2**20
+    assert mindist_feasible(compute_mindist(graph, result.rec_mii)[0])
+    assert not mindist_feasible(compute_mindist(graph, result.rec_mii - 1)[0])
+    _verify(loop, machine)

@@ -17,7 +17,13 @@ from repro.analysis import evaluate_corpus
 from repro.analysis.engine import EvaluationEngine
 from repro.baselines.list_scheduler import list_schedule
 from repro.core.mii import compute_mii
+from repro.core.mindist import (
+    compute_mindist,
+    mindist_feasible,
+    schedule_length_lower_bound,
+)
 from repro.core.scheduler import modulo_schedule
+from repro.ir import GraphError
 from repro.machine import cydra5
 from repro.simulator import check_equivalence
 from repro.simulator.state import make_initial_state
@@ -174,82 +180,33 @@ class TestMrtImplementationParity:
         assert forced.schedule.times == defaulted.schedule.times
 
 
-#: Counter fields that deliberately differ between the MinDist
-#: implementations: fw pays per-probe Floyd-Warshall passes, parametric
-#: pays one closure build plus O(N²·P) envelope evaluations.
-MINDIST_IMPL_COUNTERS = frozenset(
-    {
-        "mindist_inner",
-        "mindist_invocations",
-        "mindist_closure_inner",
-        "mindist_parametric_evals",
-    }
-)
+class TestScheduleLengthBound:
+    """The SL bound is HeightR(START); the Floyd-Warshall matrix is the
+    oracle it must match, MinDist[START, STOP], on every corpus loop."""
 
+    def test_bound_is_mindist_start_to_stop(self, evaluations):
+        for evaluation in evaluations:
+            graph = evaluation.loop.graph
+            for ii, recorded in (
+                (evaluation.mii, evaluation.mindist_sl_at_mii),
+                (evaluation.ii, evaluation.mindist_sl_at_ii),
+            ):
+                dist, index = compute_mindist(graph, ii)
+                oracle = dist[index[graph.START], index[graph.stop]]
+                bound = schedule_length_lower_bound(graph, ii)
+                assert bound == int(oracle), (evaluation.loop.name, ii)
+                assert recorded == bound, (evaluation.loop.name, ii)
 
-def _impl_free_snapshot(counters):
-    return {
-        name: value
-        for name, value in counters.snapshot().items()
-        if name not in MINDIST_IMPL_COUNTERS
-    }
-
-
-class TestMinDistImplementationParity:
-    """The parametric closure and the per-II Floyd-Warshall oracle must
-    drive the II search identically.
-
-    Acceptance for the parametric kernel: over the *full* corpus, both
-    implementations reach the same II, the same per-operation times, the
-    same opcode alternatives, and — apart from the counters that *define*
-    the implementations' work — the same counter snapshot.  MinDist is a
-    pure representation change; only its cost model moves.
-    """
-
-    def test_modulo_scheduler_agrees_over_the_full_corpus(
-        self, machine, corpus
-    ):
-        from repro.core import Counters
-
-        for loop in corpus:
-            fast_counters, oracle_counters = Counters(), Counters()
-            fast = modulo_schedule(
-                loop.graph,
-                machine,
-                counters=fast_counters,
-                mindist_impl="parametric",
-            )
-            oracle = modulo_schedule(
-                loop.graph,
-                machine,
-                counters=oracle_counters,
-                mindist_impl="fw",
-            )
-            context = loop.name
-            assert fast.ii == oracle.ii, context
-            assert fast.schedule.times == oracle.schedule.times, context
-            assert _alternative_names(fast.schedule) == _alternative_names(
-                oracle.schedule
-            ), context
-            assert _impl_free_snapshot(fast_counters) == _impl_free_snapshot(
-                oracle_counters
-            ), context
-            # The whole point of the closure: the oracle's N³ passes
-            # vanish, replaced by closure builds plus cheap evaluations.
-            assert fast_counters.mindist_invocations == 0, context
-            assert oracle_counters.mindist_parametric_evals == 0, context
-
-    def test_environment_selects_the_oracle_end_to_end(
-        self, machine, corpus, monkeypatch
-    ):
-        """REPRO_MINDIST_IMPL=fw routes a whole evaluation through the
-        scalar oracle and changes no observable result."""
-        loop = corpus[0]
-        defaulted = modulo_schedule(loop.graph, machine)
-        monkeypatch.setenv("REPRO_MINDIST_IMPL", "fw")
-        forced = modulo_schedule(loop.graph, machine)
-        assert forced.ii == defaulted.ii
-        assert forced.schedule.times == defaulted.schedule.times
+    def test_bound_raises_below_recmii(self, evaluations):
+        recurrent = [e for e in evaluations if e.mii_result.rec_mii > 1]
+        assert recurrent
+        for evaluation in recurrent:
+            graph = evaluation.loop.graph
+            below = evaluation.mii_result.rec_mii - 1
+            dist, _ = compute_mindist(graph, below)
+            assert not mindist_feasible(dist), evaluation.loop.name
+            with pytest.raises(GraphError):
+                schedule_length_lower_bound(graph, below)
 
 
 class TestSlotImplementationParity:
