@@ -7,11 +7,12 @@ the substrate that makes corpus-scale evaluation cheap, repeatable and
 *unkillable*:
 
 * a **content-addressed result cache**: every per-loop evaluation is
-  stored on disk under a stable hash of (loop IR, machine description,
-  scheduler configuration, code-format version), so unchanged loops are
-  never re-scheduled or re-simulated across runs — and any change to the
-  loop's graph, the machine's latencies or reservation tables, or the
-  scheduler's budget automatically invalidates only the affected entries;
+  stored on disk under a stable hash of (loop IR, the machine's content
+  key, scheduler configuration, code-format version), so unchanged loops
+  are never re-scheduled or re-simulated across runs — and any change to
+  the loop's graph, the machine's latencies or reservation tables, or
+  the scheduler's budget automatically invalidates only the affected
+  entries;
 * a **process-pool fan-out** over the per-loop work with deterministic,
   corpus-order results regardless of completion order;
 * **structured failure records**: a loop that cannot be scheduled (or
@@ -44,6 +45,13 @@ the same JSON payload that the cache stores, so results are bit-identical
 whether they were computed in-process, in a worker, after a transient
 fault, or loaded from disk.  The fault-injection harness
 (:mod:`repro.analysis.faultinject`) proves that property end to end.
+The payload holds the measurements and the schedule body (II, times,
+alternatives by name), not a copy of the graph: the key pins the
+graph's content, so each payload is decoded exactly once, against the
+live ``loop.graph``, where it enters the engine — a cache hit, a journal
+replay or a finished task.  A cache entry that does not decode counts
+as corrupt, a journaled payload that does not decode is named in the
+run's diagnostics, and either way the loop is re-evaluated.
 """
 
 from __future__ import annotations
@@ -52,7 +60,6 @@ import hashlib
 import heapq
 import json
 import os
-import pickle
 import signal
 import tempfile
 import time
@@ -95,8 +102,7 @@ from repro.core.scheduler import (
     modulo_schedule,
 )
 from repro.core.stats import Counters
-from repro.ir.serialize import graph_to_dict, schedule_from_dict, schedule_to_dict
-from repro.machine.serialize import machine_to_dict
+from repro.ir.serialize import bind_schedule, graph_to_dict, schedule_body
 from repro.obs.context import NULL_OBS, ObsContext
 from repro.workloads.corpus import CorpusLoop
 
@@ -104,10 +110,10 @@ from repro.workloads.corpus import CorpusLoop
 #: whenever the meaning of a cached payload changes (new measurements, a
 #: scheduler fix that alters results, a payload schema change) so stale
 #: entries are never resurrected.
-CODE_FORMAT_VERSION = 6  # v6: the parametric-MinDist counter fields left
-# the cached counter snapshots; Counters(**...) must never see a v5 payload
+CODE_FORMAT_VERSION = 7  # v7: payloads hold the schedule body without its
+# graph, and keys hash the machine's content key
 
-_PAYLOAD_FORMAT = "repro.loop-evaluation.v1"
+_PAYLOAD_FORMAT = "repro.loop-evaluation.v2"
 TIMING_FORMAT = "repro.engine-timing.v1"
 
 #: The per-loop phases the engine accounts for.
@@ -157,8 +163,9 @@ def cache_key(
 
     The key is the SHA-256 of a canonical JSON document covering
     everything the evaluation's outcome depends on: the loop's dependence
-    graph, the full machine description (latencies, reservation tables),
-    the scheduler configuration, and :data:`CODE_FORMAT_VERSION`.  It is
+    graph, the machine's :attr:`~repro.machine.MachineDescription.content_key`
+    (a memoized hash of its latencies and reservation tables), the
+    scheduler configuration, and :data:`CODE_FORMAT_VERSION`.  It is
     stable across processes and interpreter restarts (no reliance on
     ``hash()``), and any semantic mutation of an input changes it.
 
@@ -171,7 +178,7 @@ def cache_key(
     document = {
         "version": CODE_FORMAT_VERSION,
         "graph": graph_to_dict(graph),
-        "machine": machine_to_dict(machine),
+        "machine": machine.content_key,
         "config": {
             "backend": backend,
             "budget_ratio": budget_ratio,
@@ -190,10 +197,12 @@ def cache_key(
 def evaluation_to_dict(evaluation: LoopEvaluation, machine) -> Dict[str, Any]:
     """Serialize a :class:`LoopEvaluation` to a JSON-compatible payload.
 
-    Only the measurements are stored; the :class:`CorpusLoop` (with its
-    execution profile) is re-attached by :func:`evaluation_from_dict`.
-    A clean (non-degraded) evaluation serializes exactly as it always
-    has; a ``degradation`` key appears only when the ladder was used.
+    Only the measurements are stored, and of the schedule only its body
+    (:func:`~repro.ir.serialize.schedule_body`): the :class:`CorpusLoop`
+    with its graph and execution profile is re-attached by
+    :func:`evaluation_from_dict`.  ``machine`` is not consulted;
+    alternatives are stored by name.  A ``degradation`` key appears only
+    when the ladder was used.
     """
     mii = evaluation.mii_result
     result = evaluation.result
@@ -209,7 +218,7 @@ def evaluation_to_dict(evaluation: LoopEvaluation, machine) -> Dict[str, Any]:
             "components": [list(c) for c in mii.components],
             "rec_mii_exact": mii.rec_mii_exact,
         },
-        "schedule": schedule_to_dict(result.schedule, machine),
+        "schedule": schedule_body(result.schedule),
         "search": {
             "backend": result.backend,
             "budget_ratio": result.budget_ratio,
@@ -237,7 +246,13 @@ def evaluation_to_dict(evaluation: LoopEvaluation, machine) -> Dict[str, Any]:
 def evaluation_from_dict(
     data: Dict[str, Any], loop: CorpusLoop, machine
 ) -> LoopEvaluation:
-    """Rebuild a :class:`LoopEvaluation` from :func:`evaluation_to_dict`."""
+    """Rebuild a :class:`LoopEvaluation` from :func:`evaluation_to_dict`.
+
+    The schedule is bound to the live ``loop.graph``: the cache key pins
+    the graph's content, so a payload is only ever served for the graph
+    it was computed on.  Raises on a payload that does not decode, e.g.
+    one naming an alternative ``machine`` lacks.
+    """
     if data.get("format") != _PAYLOAD_FORMAT:
         raise ValueError(
             f"not a serialized loop evaluation: format {data.get('format')!r}"
@@ -253,23 +268,21 @@ def evaluation_from_dict(
     )
     search = data["search"]
     result = ModuloScheduleResult(
-        schedule=schedule_from_dict(data["schedule"], machine),
+        schedule=bind_schedule(data["schedule"], loop.graph, machine),
         mii_result=mii_result,
         budget_ratio=search["budget_ratio"],
         attempts=search["attempts"],
         steps_total=search["steps_total"],
         steps_last=search["steps_last"],
         counters=counters,
-        # v3 payloads predate backends; .get keeps them loadable.
-        backend=search.get("backend", "ims"),
-        optimal=search.get("optimal"),
+        backend=search["backend"],
+        optimal=search["optimal"],
         attempt_records=[
             AttemptRecord.from_dict(record)
-            for record in search.get("attempt_records", [])
+            for record in search["attempt_records"]
         ],
         certificates={
-            int(ii): cert
-            for ii, cert in search.get("certificates", {}).items()
+            int(ii): cert for ii, cert in search["certificates"].items()
         },
     )
     return LoopEvaluation(
@@ -1087,80 +1100,72 @@ class EvaluationEngine:
             raise ValueError("engine has no cache directory")
         return self.cache_dir / key[:2] / f"{key}.json"
 
-    def _cache_read(
-        self, key: str, stats: Optional[_RunStats] = None
-    ) -> Optional[Dict[str, Any]]:
-        """Load a payload, or None on miss.
+    def _admit(
+        self, payload: Any, loop: CorpusLoop
+    ) -> Tuple[Optional[LoopEvaluation], str]:
+        """Decode a stored payload against ``loop``; strict mode re-checks it.
 
-        A present-but-unreadable entry (truncated JSON, a foreign or
-        garbled document — the aftermath of a crash or disk fault) is a
-        *counted* miss: the entry is deleted so the rewrite starts clean,
-        and ``cache.corrupt`` ticks in the run's telemetry.
+        Returns ``(evaluation, "")``, or ``(None, reason)`` when the
+        payload must be re-evaluated instead.  A stored payload is input
+        from outside this run, so any defect that survived JSON parsing
+        refuses it — a field of the wrong type as much as an alternative
+        the machine lacks.  In strict mode the decoded schedule is then
+        re-validated: a bit flip or a stale entry from a buggy scheduler
+        build surfaces as a rejected payload.  The codegen cross-checks
+        are skipped: codegen artifacts are not stored but re-derived from
+        the schedule, and the fresh-evaluation path validated that
+        derivation when the payload was written.
+        """
+        try:
+            evaluation = evaluation_from_dict(payload, loop, self.machine)
+        except Exception:
+            return None, "did not decode"
+        if not self.check:
+            return evaluation, ""
+        from repro.check import check_schedule
+
+        self.obs.counter("check.schedules").inc()
+        try:
+            ok = check_schedule(
+                loop.graph, self.machine, evaluation.result.schedule
+            ).ok
+        except Exception:  # e.g. a stored time that is not an integer
+            ok = False
+        if not ok:
+            self.obs.counter("check.rejected").inc()
+            return None, "failed the static check"
+        return evaluation, ""
+
+    def _cache_load(
+        self, key: str, loop: CorpusLoop, stats: _RunStats
+    ) -> Optional[LoopEvaluation]:
+        """Load and decode a cached evaluation, or None on miss.
+
+        A present-but-unusable entry (truncated JSON, a foreign or
+        garbled document — the aftermath of a crash or disk fault — or a
+        payload :meth:`_admit` refuses) is a *counted* miss: the entry is
+        deleted so the rewrite starts clean, and ``cache.corrupt`` ticks
+        in the run's telemetry.
         """
         path = self.cache_path(key)
         try:
-            text = path.read_text()
+            raw = path.read_bytes()
         except OSError:
             return None  # genuinely absent: the ordinary miss
         try:
-            data = json.loads(text)
-        except (ValueError, EOFError, UnicodeDecodeError,
-                pickle.UnpicklingError):
+            data = json.loads(raw)
+        except ValueError:  # malformed JSON or bytes that are not UTF-8
             data = None
-        if not isinstance(data, dict) or data.get("format") != _PAYLOAD_FORMAT:
-            if stats is not None:
-                stats.cache_corrupt += 1
+        evaluation = None
+        if isinstance(data, dict) and data.get("format") == _PAYLOAD_FORMAT:
+            evaluation, _ = self._admit(data, loop)
+        if evaluation is None:
+            stats.cache_corrupt += 1
             try:
                 path.unlink()
             except OSError:
                 pass
-            return None
-        return data
-
-    def _payload_checks(self, payload: Dict[str, Any], loop: CorpusLoop) -> bool:
-        """Strict mode: re-validate a stored payload's schedule.
-
-        The times, II and alternative choices are taken verbatim from the
-        payload — they are what the store holds, so a bit flip that
-        survived JSON parsing or a stale entry from a buggy scheduler
-        build surfaces here as a rejected payload.  The graph comes from
-        the live ``loop`` (graph identity is already part of the cache
-        key, so a divergent graph can never be served for this key), and
-        the codegen cross-checks are skipped: codegen artifacts are not
-        stored but re-derived from the schedule, and the fresh-evaluation
-        path validated that derivation when the entry was written.
-        """
-        try:
-            from repro.check import check_schedule
-            from repro.core.schedule import Schedule
-
-            data = payload["schedule"]
-            times = {int(op): t for op, t in data["times"].items()}
-            alternatives = {}
-            for op_text, alt_name in data["alternatives"].items():
-                op = int(op_text)
-                if alt_name is None:
-                    alternatives[op] = None
-                    continue
-                opcode = self.machine.opcode(loop.graph.operation(op).opcode)
-                matches = [
-                    a for a in opcode.alternatives if a.name == alt_name
-                ]
-                if not matches:
-                    return False
-                alternatives[op] = matches[0]
-            schedule = Schedule(
-                loop.graph,
-                data["ii"],
-                times,
-                alternatives,
-                modulo=data.get("modulo", True),
-            )
-            diags = check_schedule(loop.graph, self.machine, schedule)
-        except Exception:
-            return False
-        self.obs.counter("check.schedules").inc()
-        return diags.ok
+        return evaluation
 
     def _cache_write(self, key: str, payload: Dict[str, Any]) -> None:
         """Atomically persist a payload (write-to-temp, then rename)."""
@@ -1199,11 +1204,16 @@ class EvaluationEngine:
         stats = _RunStats()
         with obs.span("corpus.evaluate", loops=n, jobs=self.jobs) as root:
             keys = [self.key_for(loop) for loop in corpus]
-            payloads: List[Optional[Dict[str, Any]]] = [None] * n
+            # Every payload is decoded once, against the live loop, where
+            # it enters the engine: a journal replay, a cache hit or a
+            # finished task.
+            decoded: List[Optional[LoopEvaluation]] = [None] * n
             failures_by_index: Dict[int, LoopFailure] = {}
             seconds: List[Dict[str, float]] = [{} for _ in range(n)]
             hit_flags = [False] * n
             resumed_flags = [False] * n
+            # Per finished task: its obs snapshot and profiler samples.
+            worker_output: Dict[int, Tuple[Any, Any]] = {}
 
             journal = (
                 ResultJournal(self.journal_path)
@@ -1216,46 +1226,31 @@ class EvaluationEngine:
 
             pending: List[int] = []
             for index, key in enumerate(keys):
+                loop = corpus[index]
                 record = journaled.get(key)
                 if (
                     record is not None
                     and record.get("ok")
                     and isinstance(record.get("payload"), dict)
                 ):
-                    if self.check and not self._payload_checks(
-                        record["payload"], corpus[index]
-                    ):
-                        stats.diagnostics.append(
-                            f"resume: journaled payload for "
-                            f"{corpus[index].name} failed the static "
-                            "check; re-evaluating"
-                        )
-                        obs.counter("check.rejected").inc()
-                    else:
-                        payloads[index] = record["payload"]
+                    evaluation, refused = self._admit(record["payload"], loop)
+                    if evaluation is not None:
+                        decoded[index] = evaluation
                         resumed_flags[index] = True
                         seconds[index] = {"total": 0.0}
                         stats.resume_skipped += 1
                         continue
+                    stats.diagnostics.append(
+                        f"resume: journaled payload for {loop.name} "
+                        f"{refused}; re-evaluating"
+                    )
                 if self.caching:
                     load_started = time.perf_counter()
-                    with obs.span("cache.load", loop=corpus[index].name):
-                        payload = self._cache_read(key, stats)
-                    if payload is not None and self.check:
-                        # Strict mode treats a hit that fails the
-                        # validator as a corrupt entry: drop it and
-                        # re-evaluate (which re-checks the fresh result).
-                        if not self._payload_checks(payload, corpus[index]):
-                            stats.cache_corrupt += 1
-                            obs.counter("check.rejected").inc()
-                            try:
-                                self.cache_path(key).unlink()
-                            except OSError:
-                                pass
-                            payload = None
-                    if payload is not None:
+                    with obs.span("cache.load", loop=loop.name):
+                        evaluation = self._cache_load(key, loop, stats)
+                    if evaluation is not None:
                         elapsed = time.perf_counter() - load_started
-                        payloads[index] = payload
+                        decoded[index] = evaluation
                         hit_flags[index] = True
                         seconds[index] = {"load": elapsed, "total": elapsed}
                         continue
@@ -1269,6 +1264,9 @@ class EvaluationEngine:
                 still leaves every earlier result durable for resume.
                 """
                 seconds[index] = outcome["seconds"]
+                worker_output[index] = (
+                    outcome.get("obs"), outcome.get("profile")
+                )
                 failure = outcome["failure"]
                 if failure is not None:
                     failures_by_index[index] = LoopFailure(
@@ -1290,31 +1288,26 @@ class EvaluationEngine:
                             failure=failures_by_index[index].to_dict(),
                         )
                     return
-                payloads[index] = outcome["payload"]
+                payload = outcome["payload"]
+                decoded[index] = evaluation_from_dict(
+                    payload, corpus[index], self.machine
+                )
                 if self.caching and outcome.get("cacheable", True):
-                    self._cache_write(keys[index], outcome["payload"])
+                    self._cache_write(keys[index], payload)
                     if self.fault_plan.corrupts_cache(index):
                         self._truncate_cache_entry(keys[index])
                 if journal is not None:
                     journal.append(
-                        keys[index],
-                        index,
-                        corpus[index].name,
-                        payload=outcome["payload"],
+                        keys[index], index, corpus[index].name, payload=payload
                     )
 
-            outcomes: Dict[int, Dict[str, Any]] = {}
             try:
                 if self.jobs > 1 and len(pending) > 1:
                     workers = min(self.jobs, len(pending))
                     with obs.span("corpus.fanout", workers=workers):
-                        outcomes = self._run_pool(
-                            corpus, pending, workers, stats, finish
-                        )
+                        self._run_pool(corpus, pending, workers, stats, finish)
                 else:
-                    outcomes = self._run_serial(
-                        corpus, pending, stats, finish
-                    )
+                    self._run_serial(corpus, pending, stats, finish)
             finally:
                 if journal is not None:
                     journal.close()
@@ -1329,10 +1322,9 @@ class EvaluationEngine:
             # order) so the merged trace is reproducible run over run.
             profile: Optional[Dict[str, int]] = None
             for index in pending:
-                outcome = outcomes.get(index)
-                if outcome is not None:
-                    obs.absorb(outcome.get("obs"), parent=root, index=index)
-                    samples = outcome.get("profile")
+                if index in worker_output:
+                    snapshot, samples = worker_output[index]
+                    obs.absorb(snapshot, parent=root, index=index)
                     if samples:
                         if profile is None:
                             profile = {}
@@ -1355,12 +1347,8 @@ class EvaluationEngine:
                 )
                 if index in failures_by_index:
                     failures.append(failures_by_index[index])
-                elif payloads[index] is not None:
-                    evaluations.append(
-                        evaluation_from_dict(
-                            payloads[index], loop, self.machine
-                        )
-                    )
+                elif decoded[index] is not None:
+                    evaluations.append(decoded[index])
 
             # Run-level telemetry: the Counters aggregate survives any
             # jobs fan-out (and cache hits) because every evaluation's
@@ -1473,9 +1461,8 @@ class EvaluationEngine:
         pending: Sequence[int],
         stats: _RunStats,
         finish: Callable[[int, Dict[str, Any], int], None],
-    ) -> Dict[int, Dict[str, Any]]:
+    ) -> None:
         """In-process evaluation with the same retry semantics as the pool."""
-        outcomes: Dict[int, Dict[str, Any]] = {}
         for index in pending:
             attempt = 0
             while True:
@@ -1494,8 +1481,6 @@ class EvaluationEngine:
                 time.sleep(self.retry_policy.delay(attempt))
                 attempt += 1
             finish(index, outcome, attempt + 1)
-            outcomes[index] = outcome
-        return outcomes
 
     def _rebuild_pool(
         self, pool: ProcessPoolExecutor, workers: int
@@ -1510,7 +1495,7 @@ class EvaluationEngine:
         workers: int,
         stats: _RunStats,
         finish: Callable[[int, Dict[str, Any], int], None],
-    ) -> Dict[int, Dict[str, Any]]:
+    ) -> None:
         """Pool fan-out with retries, crash salvage and the hang reaper.
 
         One wave loop owns everything: feed the pool (bounded in-flight),
@@ -1520,7 +1505,6 @@ class EvaluationEngine:
         and carry on.  Loops are lost only when their retry budget is
         spent; the run itself never dies to a worker.
         """
-        outcomes: Dict[int, Dict[str, Any]] = {}
         attempts = {index: 0 for index in pending}
         ready = deque(pending)
         delayed: List[Tuple[float, int]] = []  # (ready-at, index) heap
@@ -1542,7 +1526,6 @@ class EvaluationEngine:
                     heapq.heappush(delayed, (ready_at, index))
                     return
             finish(index, outcome, attempts[index] + 1)
-            outcomes[index] = outcome
 
         def salvage_or(index: int, future, fallback: Dict[str, Any]) -> None:
             """A finished-before-disaster future keeps its real result."""
@@ -1661,7 +1644,6 @@ class EvaluationEngine:
                     pool = self._rebuild_pool(pool, workers)
         finally:
             pool.shutdown(wait=False)
-        return outcomes
 
     def evaluate_loop(self, loop: CorpusLoop) -> LoopEvaluation:
         """Evaluate (or load) one loop; raises on failure."""

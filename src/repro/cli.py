@@ -37,6 +37,7 @@ from repro.machine import (
     superscalar_machine,
     two_alu_machine,
 )
+from repro.obs.schema import FORMAT as OBS_FORMAT
 from repro.simulator import check_equivalence
 
 MACHINES: Dict[str, Callable] = {
@@ -56,11 +57,11 @@ def _obs_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--obs-out", default=None, metavar="FILE",
         help="trace the run and write spans + metrics to FILE "
-             "(repro.obs.v1 JSONL by default)",
+             f"({OBS_FORMAT} JSONL by default)",
     )
     parser.add_argument(
         "--obs-format", default="jsonl", metavar="FMT",
-        help="obs export format: jsonl (schema repro.obs.v1) or chrome "
+        help=f"obs export format: jsonl (schema {OBS_FORMAT}) or chrome "
              "(Perfetto / chrome://tracing trace-event JSON)",
     )
 

@@ -6,6 +6,12 @@ machine description itself is not serialized; deserialization takes the
 machine (by reference) and re-validates opcodes against it, exactly as
 graph construction does.
 
+A schedule document is its graph plus the schedule *body* (II, issue
+times, alternatives by name, the modulo flag).  :func:`schedule_body`
+and :func:`bind_schedule` handle the body alone, for stores that
+already hold the graph — the corpus engine's cache is keyed by graph
+content, so it keeps only the body and binds it to the live graph.
+
 Operand descriptors in ``attrs["operands"]`` survive the round trip
 (JSON turns tuples into lists; loading restores them), so a reloaded
 front-end graph still simulates.
@@ -124,14 +130,12 @@ def graph_from_json(text: str, machine) -> DependenceGraph:
     return graph_from_dict(json.loads(text), machine)
 
 
-def schedule_to_dict(schedule: Schedule, machine) -> Dict[str, Any]:
-    """Serialize a schedule; alternatives are stored by (opcode, name)."""
+def schedule_body(schedule: Schedule) -> Dict[str, Any]:
+    """The schedule without its graph: II, times, alternatives by name."""
     alternatives = {}
     for op, alt in schedule.alternatives.items():
         alternatives[str(op)] = None if alt is None else alt.name
     return {
-        "format": _SCHEDULE_FORMAT,
-        "graph": graph_to_dict(schedule.graph),
         "ii": schedule.ii,
         "times": {str(op): t for op, t in schedule.times.items()},
         "alternatives": alternatives,
@@ -139,16 +143,18 @@ def schedule_to_dict(schedule: Schedule, machine) -> Dict[str, Any]:
     }
 
 
-def schedule_from_dict(data: Dict[str, Any], machine) -> Schedule:
-    """Rebuild a schedule (and its graph) from serialized form."""
-    if data.get("format") != _SCHEDULE_FORMAT:
-        raise GraphError(
-            f"not a serialized schedule: format {data.get('format')!r}"
-        )
-    graph = graph_from_dict(data["graph"], machine)
-    times = {int(op): t for op, t in data["times"].items()}
+def bind_schedule(
+    body: Dict[str, Any], graph: DependenceGraph, machine
+) -> Schedule:
+    """Rebuild a :func:`schedule_body` as a schedule of ``graph``.
+
+    Alternatives are looked up by name in ``machine``; a name the
+    machine does not define for the operation's opcode raises
+    :class:`GraphError`.
+    """
+    times = {int(op): t for op, t in body["times"].items()}
     alternatives = {}
-    for op_text, alt_name in data["alternatives"].items():
+    for op_text, alt_name in body["alternatives"].items():
         op = int(op_text)
         if alt_name is None:
             alternatives[op] = None
@@ -164,8 +170,26 @@ def schedule_from_dict(data: Dict[str, Any], machine) -> Schedule:
         alternatives[op] = matches[0]
     # Documents written before the flag existed are all modulo schedules.
     return Schedule(
-        graph, data["ii"], times, alternatives, modulo=data.get("modulo", True)
+        graph, body["ii"], times, alternatives, modulo=body.get("modulo", True)
     )
+
+
+def schedule_to_dict(schedule: Schedule, machine) -> Dict[str, Any]:
+    """Serialize a schedule and its graph; alternatives are stored by name."""
+    return {
+        "format": _SCHEDULE_FORMAT,
+        "graph": graph_to_dict(schedule.graph),
+        **schedule_body(schedule),
+    }
+
+
+def schedule_from_dict(data: Dict[str, Any], machine) -> Schedule:
+    """Rebuild a schedule (and its graph) from serialized form."""
+    if data.get("format") != _SCHEDULE_FORMAT:
+        raise GraphError(
+            f"not a serialized schedule: format {data.get('format')!r}"
+        )
+    return bind_schedule(data, graph_from_dict(data["graph"], machine), machine)
 
 
 def schedule_to_json(schedule: Schedule, machine, indent: Optional[int] = None) -> str:

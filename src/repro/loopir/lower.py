@@ -168,6 +168,11 @@ class _Lowerer:
         self.addr_ops: Dict[str, int] = {}
         self.ivar_op: Optional[int] = None
         self.cond_cache: Dict[Cond, Tuple[int, frozenset]] = {}
+        # pand/por/pnot keyed by the predicates they combine, never by
+        # node: a guard over a pinned condition means that condition's
+        # value at its own If, which a structurally equal guard of
+        # another If does not share.
+        self.combined_conds: Dict[tuple, int] = {}
         # Conditions evaluated at their If's program point, keyed by node
         # identity (IF-conversion reuses the same node in every guard
         # that refers to that branch).  Pinned values are never
@@ -378,30 +383,33 @@ class _Lowerer:
         pinned = self.pinned_conds.get(id(cond))
         if pinned is not None:
             return pinned
-        cached = self.cond_cache.get(cond)
-        if cached is not None:
-            return cached[0]
         if isinstance(cond, Compare):
+            cached = self.cond_cache.get(cond)
+            if cached is not None:
+                return cached[0]
             left = self._lower_expr(cond.left)
             right = self._lower_expr(cond.right)
             op = self._emit(
                 _COMPARE_OPCODE[cond.op], self._fresh_name("p"), [left, right]
             )
-        elif isinstance(cond, BoolOp):
-            left = self._lower_cond(cond.left)
-            right = self._lower_cond(cond.right)
-            opcode = "pand" if cond.op == "and" else "por"
-            op = self._emit(
-                opcode,
-                self._fresh_name("p"),
-                [("op", left, 0), ("op", right, 0)],
+            self.cond_cache[cond] = (op, frozenset(_cond_scalars(cond)))
+            return op
+        if isinstance(cond, BoolOp):
+            key = (
+                "pand" if cond.op == "and" else "por",
+                self._lower_cond(cond.left),
+                self._lower_cond(cond.right),
             )
         elif isinstance(cond, NotOp):
-            inner = self._lower_cond(cond.operand)
-            op = self._emit("pnot", self._fresh_name("p"), [("op", inner, 0)])
+            key = ("pnot", self._lower_cond(cond.operand))
         else:
             raise LoweringError(f"cannot lower condition {cond!r}")
-        self.cond_cache[cond] = (op, frozenset(_cond_scalars(cond)))
+        op = self.combined_conds.get(key)
+        if op is None:
+            op = self._emit(
+                key[0], self._fresh_name("p"), [("op", p, 0) for p in key[1:]]
+            )
+            self.combined_conds[key] = op
         return op
 
     # -- statements ------------------------------------------------------------

@@ -192,6 +192,25 @@ class TestPayloadRoundTrip:
         assert rebuilt.ii == evaluation.ii
         assert rebuilt.exec_time == evaluation.exec_time
 
+    def test_payload_holds_the_schedule_body_bound_to_the_live_graph(
+        self, machine, corpus
+    ):
+        evaluation = EvaluationEngine(machine).evaluate_loop(corpus[0])
+        assert evaluation.result.schedule.graph is corpus[0].graph
+        payload = evaluation_to_dict(evaluation, machine)
+        assert "graph" not in payload["schedule"]
+        rebuilt = evaluation_from_dict(payload, corpus[0], machine)
+        assert rebuilt.result.schedule.graph is corpus[0].graph
+
+    def test_equal_machines_give_equal_keys(self, machine, corpus):
+        """The key hashes the machine's content, not its identity."""
+        first, second = (
+            machine_from_dict(machine_to_dict(machine)) for _ in range(2)
+        )
+        assert first is not second
+        assert cache_key(corpus[0], first) == cache_key(corpus[0], second)
+        assert cache_key(corpus[0], first) == cache_key(corpus[0], machine)
+
     def test_json_round_trip_is_identity(self, machine, corpus):
         engine = EvaluationEngine(machine)
         evaluation = engine.evaluate_loop(corpus[1])
@@ -256,6 +275,34 @@ class TestCache:
         assert again.hits == 1 and again.misses == 1
         assert again.ok
         # The rewrite left a loadable entry behind.
+        third = engine.evaluate(corpus[:2])
+        assert third.hits == 2 and third.cache_corrupt == 0
+
+    @pytest.mark.parametrize("damage", ["unknown alternative", "not utf-8"])
+    def test_undecodable_entry_is_a_counted_miss(
+        self, machine, corpus, tmp_path, damage
+    ):
+        """An entry that does not decode is corrupt, never fatal to the run."""
+        engine = EvaluationEngine(machine, cache_dir=tmp_path / "cache")
+        clean = engine.evaluate(corpus[:2])
+        path = engine.cache_path(engine.key_for(corpus[0]))
+        if damage == "unknown alternative":
+            payload = json.loads(path.read_text())
+            alternatives = payload["schedule"]["alternatives"]
+            op = next(op for op, name in alternatives.items() if name)
+            alternatives[op] = "no-such-alternative"
+            path.write_text(json.dumps(payload))
+        else:
+            path.write_bytes(b"\xff\xfe" + path.read_bytes())
+        again = engine.evaluate(corpus[:2])
+        assert again.ok
+        assert again.cache_corrupt == 1
+        assert again.hits == 1 and again.misses == 1
+        canonical = lambda result: [
+            json.dumps(evaluation_to_dict(e, machine), sort_keys=True)
+            for e in result.evaluations
+        ]
+        assert canonical(again) == canonical(clean)
         third = engine.evaluate(corpus[:2])
         assert third.hits == 2 and third.cache_corrupt == 0
 

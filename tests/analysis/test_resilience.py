@@ -548,6 +548,34 @@ class TestCheckpointResume:
         assert resumed.resume_skipped == 2
         assert resumed.misses == len(corpus) - 2
 
+    def test_undecodable_journaled_payload_is_reevaluated(
+        self, machine, corpus, tmp_path, clean
+    ):
+        journal = tmp_path / "journal.jsonl"
+        EvaluationEngine(
+            machine, journal_path=journal, fault_plan=NULL_PLAN
+        ).evaluate(corpus[:2])
+        lines = journal.read_text().splitlines()
+        record = json.loads(lines[0])
+        alternatives = record["payload"]["schedule"]["alternatives"]
+        op = next(op for op, name in alternatives.items() if name is not None)
+        alternatives[op] = "no-such-alternative"
+        journal.write_text("\n".join([json.dumps(record), *lines[1:]]) + "\n")
+
+        resumed = EvaluationEngine(
+            machine, journal_path=journal, resume=True, fault_plan=NULL_PLAN
+        ).evaluate(corpus)
+        assert resumed.ok
+        assert resumed.resume_skipped == 1
+        assert resumed.misses == len(corpus) - 1
+        assert [
+            line for line in resumed.diagnostics if "did not decode" in line
+        ] == [
+            f"resume: journaled payload for {record['loop']} did not "
+            "decode; re-evaluating"
+        ]
+        assert _bytes_of(resumed, machine) == _bytes_of(clean, machine)
+
     def test_resume_without_journal_is_an_error(self, machine):
         with pytest.raises(ValueError, match="journal"):
             EvaluationEngine(machine, resume=True)

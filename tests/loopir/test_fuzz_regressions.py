@@ -117,6 +117,23 @@ class TestFuzzRegressions:
         )
         _verify(loop, machine, n=11)
 
+    def test_find7_else_guard_of_a_repeated_condition(self, machine):
+        """The second If's else-guard reused the first If's negated
+        predicate: the two conditions are structurally equal, but the
+        first If's then-branch changed the scalar they read."""
+        _verify(
+            "for i in n:\n"
+            "    if x[i] < s:\n"
+            "        s = 0.0\n"
+            "    else:\n"
+            "        t = 0.0\n"
+            "    if x[i] < s:\n"
+            "        t = 0.0\n"
+            "    else:\n"
+            "        s = b[i]\n",
+            machine,
+        )
+
     def test_pass_through_chain_of_aliases(self, machine):
         """Deeper variant of find 4: a chain of pass-throughs."""
         _verify(

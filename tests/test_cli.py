@@ -257,6 +257,14 @@ class TestObservability:
         assert code == 2
         assert "unknown obs format" in capsys.readouterr().err
 
+    def test_corpus_help_names_the_exported_schema(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["corpus", "--help"])
+        assert exited.value.code == 0
+        text = capsys.readouterr().out
+        assert "repro.obs.v2" in text
+        assert "repro.obs.v1" not in text
+
     def test_unwritable_obs_out_rejected_cleanly(self, tmp_path, capsys):
         not_a_dir = tmp_path / "file"
         not_a_dir.write_text("")
