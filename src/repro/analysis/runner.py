@@ -6,9 +6,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.analysis.model import execution_time, execution_time_bound
-from repro.baselines.list_scheduler import list_schedule_length
-from repro.core.mii import MIIResult, compute_mii
-from repro.core.mindist import schedule_length_lower_bound
+from repro.core.mii import MIIResult
 from repro.core.scheduler import ModuloScheduleResult
 from repro.core.stats import Counters
 from repro.workloads.corpus import CorpusLoop
@@ -134,36 +132,23 @@ def evaluate_loop(
     exact_mii: bool = True,
     backend: str = "ims",
 ) -> LoopEvaluation:
-    """Schedule one corpus loop and gather every Section-4 measurement."""
-    from repro.backends import IIPolicy, get_backend
+    """Schedule one corpus loop and gather every Section-4 measurement.
 
-    counters = Counters()
-    mii_result = compute_mii(loop.graph, machine, counters, exact=exact_mii)
-    result = get_backend(backend).schedule(
-        loop.graph,
+    The engine's per-loop path does the work, uncached and without the
+    degradation ladder; a loop that cannot be evaluated raises the
+    engine's ``RuntimeError`` naming the failure.
+    """
+    from repro.analysis.engine import EvaluationEngine
+
+    engine = EvaluationEngine(
         machine,
-        IIPolicy(budget_ratio=budget_ratio, exact_mii=exact_mii),
-        counters=counters,
-        mii_result=mii_result,
+        budget_ratio=budget_ratio,
+        exact_mii=exact_mii,
+        backend=backend,
+        use_cache=False,
+        degrade=False,
     )
-    list_sl = list_schedule_length(loop.graph, machine)
-    at_mii = schedule_length_lower_bound(loop.graph, mii_result.mii)
-    if result.ii == mii_result.mii:
-        at_ii = at_mii
-    else:
-        at_ii = schedule_length_lower_bound(loop.graph, result.ii)
-    return LoopEvaluation(
-        loop=loop,
-        n_ops=loop.graph.n_ops,
-        n_real_ops=loop.graph.n_real_ops,
-        n_edges=loop.graph.n_edges,
-        mii_result=mii_result,
-        result=result,
-        list_sl=list_sl,
-        mindist_sl_at_mii=at_mii,
-        mindist_sl_at_ii=at_ii,
-        counters=counters,
-    )
+    return engine.evaluate_loop(loop)
 
 
 def evaluate_corpus(

@@ -99,7 +99,6 @@ class SchedulerBackend(abc.ABC):
         obs=None,
         deadline: Optional[Deadline] = None,
         trace=None,
-        mrt_impl: Optional[str] = None,
     ) -> ModuloScheduleResult:
         """Schedule ``graph`` on ``machine`` under ``policy``.
 

@@ -224,7 +224,6 @@ class ExactBackend(SchedulerBackend):
         obs=None,
         deadline: Optional[Deadline] = None,
         trace=None,
-        mrt_impl: Optional[str] = None,
     ) -> ModuloScheduleResult:
         from repro.obs.context import NULL_OBS
 
@@ -252,7 +251,6 @@ class ExactBackend(SchedulerBackend):
                 exact_mii=policy.exact_mii,
                 trace=trace,
                 obs=obs,
-                mrt_impl=mrt_impl,
                 deadline=deadline,
             )
             records.extend(upper.attempt_records)
@@ -267,9 +265,7 @@ class ExactBackend(SchedulerBackend):
                         reason="budget",
                     )
                 )
-            fallback = list_schedule(
-                graph, machine, counters, mrt_impl=mrt_impl
-            )
+            fallback = list_schedule(graph, machine, counters)
             records.append(
                 AttemptRecord(
                     backend="list",

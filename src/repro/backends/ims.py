@@ -38,7 +38,6 @@ class IMSBackend(SchedulerBackend):
         obs=None,
         deadline: Optional[Deadline] = None,
         trace=None,
-        mrt_impl: Optional[str] = None,
     ) -> ModuloScheduleResult:
         policy = policy if policy is not None else IIPolicy()
         return modulo_schedule(
@@ -51,6 +50,5 @@ class IMSBackend(SchedulerBackend):
             exact_mii=policy.exact_mii,
             trace=trace,
             obs=obs,
-            mrt_impl=mrt_impl,
             deadline=deadline,
         )

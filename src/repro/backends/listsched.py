@@ -40,7 +40,6 @@ class ListBackend(SchedulerBackend):
         obs=None,
         deadline: Optional[Deadline] = None,
         trace=None,
-        mrt_impl: Optional[str] = None,
     ) -> ModuloScheduleResult:
         from repro.obs.context import NULL_OBS
 
@@ -54,9 +53,7 @@ class ListBackend(SchedulerBackend):
                 deadline=deadline,
             )
         with obs.span("schedule", graph=graph.name, style="list") as span:
-            schedule = list_schedule(
-                graph, machine, counters, mrt_impl=mrt_impl
-            )
+            schedule = list_schedule(graph, machine, counters)
             span.set("ii", schedule.ii)
             span.set("attempts", 1)
         obs.counter("sched.loops").inc()

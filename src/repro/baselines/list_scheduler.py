@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.mrt import make_linear_reservations
+from repro.core.mrt import LinearReservations
 from repro.core.schedule import Schedule
 from repro.core.stats import Counters
 from repro.ir.graph import DependenceGraph, GraphError
@@ -75,20 +75,16 @@ def list_schedule(
     graph: DependenceGraph,
     machine,
     counters: Optional[Counters] = None,
-    mrt_impl: Optional[str] = None,
 ) -> Schedule:
     """List-schedule one iteration; returns a :class:`Schedule`.
 
     The returned schedule's ``ii`` is its schedule length (iterations do
-    not overlap), clamped to at least 1.  ``mrt_impl`` selects the
-    schedule-reservation-table implementation (the bitmask grid by
-    default; ``"dict"`` for the legacy oracle — see
-    :mod:`repro.core.mrt`).
+    not overlap), clamped to at least 1.
     """
     if not graph.sealed:
         raise GraphError(f"graph {graph.name!r} must be sealed")
     heights = _acyclic_heights(graph)
-    reservations = make_linear_reservations(machine=machine, impl=mrt_impl)
+    reservations = LinearReservations(machine=machine)
     times: Dict[int, int] = {}
     alts: Dict[int, Optional[ReservationTable]] = {}
 

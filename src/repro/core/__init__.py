@@ -18,14 +18,9 @@ from repro.core.mindist import compute_mindist, mindist_feasible
 from repro.core.mii import MIIResult, compute_mii, res_mii, rec_mii
 from repro.core.heights import height_r
 from repro.core.mrt import (
-    DictLinearReservations,
-    DictModuloReservations,
     LinearReservations,
     ModuloReservations,
     ReservationConflict,
-    make_linear_reservations,
-    make_modulo_reservations,
-    resolve_mrt_impl,
 )
 from repro.core.schedule import Schedule
 from repro.core.scheduler import (
@@ -63,12 +58,7 @@ __all__ = [
     "height_r",
     "LinearReservations",
     "ModuloReservations",
-    "DictLinearReservations",
-    "DictModuloReservations",
     "ReservationConflict",
-    "make_linear_reservations",
-    "make_modulo_reservations",
-    "resolve_mrt_impl",
     "Schedule",
     "IterativeScheduler",
     "ModuloScheduleResult",

@@ -11,29 +11,23 @@ a conflict at T implies conflicts at every T + k*II, and the table need
 only be II rows long.  The linear variant is the ordinary acyclic table
 used by list scheduling.
 
-Two implementations live here, behaviourally identical:
+Both tables are bitmasks.  Every resource gets a stable bit row; the
+whole schedule reservation table is one occupancy integer (modulo) or
+one integer per resource row (linear), each operation holds its
+placement as a mask, and a conflict probe is a single AND against a
+mask precompiled per (table, II) — see
+:func:`repro.machine.resources.compile_alternative` and the
+per-(machine, II) cache
+:meth:`repro.machine.machine.MachineDescription.compiled_masks`.
 
-* :class:`ModuloReservations` / :class:`LinearReservations` — the
-  **bitmask** tables (the default).  Every resource gets a stable bit
-  row; the whole schedule reservation table is one occupancy integer
-  (modulo) or one integer per resource row (linear), each operation
-  holds its placement as a mask, and a conflict probe is a single AND
-  against a mask precompiled per (table, II) — see
-  :func:`repro.machine.resources.compile_alternative` and the
-  per-(machine, II) cache :meth:`repro.machine.machine.MachineDescription.compiled_masks`.
-* :class:`DictModuloReservations` / :class:`DictLinearReservations` —
-  the original dict-of-cells tables, kept as the differential **oracle**
-  (``REPRO_MRT_IMPL=dict`` or ``mrt_impl="dict"`` on the schedulers).
-
-Both agree on every observable: ``conflicts``, ``conflicting_ops``,
-``occupancy``, raised :class:`ReservationConflict` messages, and the
-byte-exact ``render`` output (property-tested in
-``tests/core/test_mrt_differential.py``).
+The original dict-of-cells tables and Figure 4's scalar FindTimeSlot
+scan live on as test oracles in ``tests/oracles/mrt.py``; the lockstep
+suites in ``tests/core/test_mrt_differential.py`` and the corpus parity
+tests in ``tests/test_differential.py`` hold these tables to them.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.machine.resources import (
@@ -48,30 +42,10 @@ class ReservationConflict(RuntimeError):
     """Raised when a reservation would double-book a resource."""
 
 
-#: The selectable implementations; "mask" is the default fast path.
-MRT_IMPLS = ("mask", "dict")
-
-#: Environment override consulted when no explicit ``mrt_impl`` is given.
-MRT_IMPL_ENV = "REPRO_MRT_IMPL"
-
-
-def resolve_mrt_impl(impl: Optional[str] = None) -> str:
-    """Pick the MRT implementation: explicit arg > environment > mask."""
-    choice = impl if impl is not None else os.environ.get(MRT_IMPL_ENV, "mask")
-    if choice not in MRT_IMPLS:
-        raise ValueError(
-            f"unknown MRT implementation {choice!r}; choose from {MRT_IMPLS}"
-        )
-    return choice
-
-
 def _render_kernel(
     cells: Dict[Tuple[str, int], int], ii: int, resources: Iterable[str]
 ) -> str:
-    """ASCII kernel view: one row per modulo slot, one column per resource.
-
-    Shared by both MRT implementations so their output is byte-identical.
-    """
+    """ASCII kernel view: one row per modulo slot, one column per resource."""
     resources = list(resources)
     width = max([len(r) for r in resources] + [6])
     header = "slot  " + "  ".join(r.ljust(width) for r in resources)
@@ -83,10 +57,6 @@ def _render_kernel(
             row.append(("" if holder is None else f"op{holder}").ljust(width))
         lines.append(f"{slot:>4}  " + "  ".join(row))
     return "\n".join(lines)
-
-
-# ----------------------------------------------------------------------
-# Bitmask implementation (the default)
 
 
 class ModuloReservations:
@@ -101,13 +71,6 @@ class ModuloReservations:
     declaration order — what the schedulers use) and grow on demand for
     tables probing resources the set has never seen, so the machine-less
     construction ``ModuloReservations(ii)`` keeps working.
-
-    ``checks`` / ``fastpath_checks`` count ``conflicts`` probes and how
-    many were answered by the single-AND fast path (all of them, thanks
-    to the sentinel); the scheduler folds them into the
-    ``mrt.conflict_checks`` / ``mrt.mask_fastpath`` obs metrics.
-    ``cell_probes`` exists for parity with the dict oracle and stays 0
-    here.
     """
 
     #: The always-set occupancy bit that answers self-conflict probes.
@@ -128,17 +91,6 @@ class ModuloReservations:
         # id(table) -> CompiledAlternative; the compiled entry pins the
         # table alive, so ids cannot be recycled under us.
         self._local: Dict[int, CompiledAlternative] = {}
-        self.checks = 0
-        self.slowpath_checks = 0
-        self.cell_probes = 0
-
-    @property
-    def fastpath_checks(self) -> int:
-        """Probes answered by the single-AND fast path (kept as a derived
-        quantity so ``conflicts`` pays for one counter, not two).  The
-        sentinel encoding routes every probe — self-conflict included —
-        through the AND, so this equals ``checks`` here."""
-        return self.checks - self.slowpath_checks
 
     # -- compilation ---------------------------------------------------
 
@@ -171,7 +123,6 @@ class ModuloReservations:
         what else is scheduled — detected once at mask-compile time and
         encoded as the sentinel bit, so this probe is branch-free.
         """
-        self.checks += 1
         compiled = (
             table
             if type(table) is CompiledAlternative
@@ -186,14 +137,15 @@ class ModuloReservations:
     def first_free_slot(
         self, tables: Sequence, min_time: int
     ) -> Tuple[Optional[int], Optional[int]]:
-        """Batched FindTimeSlot kernel over one II-wide window.
+        """FindTimeSlot's search (Figure 4) over one II-wide window.
 
         Scans the window ``[min_time, min_time + II - 1]`` across *all*
         of ``tables`` at once and returns ``(time, index)`` for the
         earliest conflict-free placement — the index is the position in
         ``tables`` of the alternative that fits, with ties at one time
         going to the earliest-declared alternative — or ``(None, None)``
-        when the whole window conflicts for every table.
+        when the whole window conflicts for every table.  That is the
+        answer of Figure 4's time-major, alternative-minor scan.
 
         Instead of probing II × len(tables) (slot, alternative) pairs,
         each table's conflict-slot bit-vector is built by OR-ing one
@@ -202,12 +154,7 @@ class ModuloReservations:
         bit ``s`` of ``rotr(row_occ, offset)`` says "issue slot ``s``
         collides through this use".  Rotating the free vector by
         ``min_time % II`` anchors bit 0 at ``min_time``, and the lowest
-        set bit is the first free slot.  The result — and the probe
-        accounting in :attr:`checks` — is exactly what the scalar
-        time-major, alternative-minor scan would have produced, so the
-        ``mrt.conflict_checks`` / ``mrt.mask_fastpath`` telemetry and
-        the ``findtimeslot_iters`` complexity counter stay
-        implementation-independent.
+        set bit is the first free slot.
         """
         ii = self.ii
         full = (1 << ii) - 1
@@ -243,12 +190,8 @@ class ModuloReservations:
                 best_w, best_idx = w, idx
                 if w == 0:
                     break
-        # As-if probe accounting: the scalar scan would have issued one
-        # ``conflicts`` call per (slot, alternative) pair up to the hit.
         if best_w is None:
-            self.checks += ii * len(tables)
             return None, None
-        self.checks += best_w * len(tables) + best_idx + 1
         return min_time + best_w, best_idx
 
     def conflicting_ops(self, tables: Iterable, time: int) -> Set[int]:
@@ -279,7 +222,7 @@ class ModuloReservations:
     def _raise_reserve_conflict(
         self, op: int, compiled: CompiledAlternative, time: int
     ) -> None:
-        """Report the first offending use, exactly as the oracle would."""
+        """Report the first offending use, in the table's use order."""
         seen = 0
         for resource, offset in compiled.uses:
             slot = (time + offset) % self.ii
@@ -323,7 +266,8 @@ class ModuloReservations:
         return cells
 
     def render(self, resources: Iterable[str]) -> str:
-        """ASCII kernel view, byte-identical to the dict oracle's."""
+        """ASCII kernel view: one row per modulo slot, one column per
+        resource."""
         return _render_kernel(self.occupancy(), self.ii, resources)
 
 
@@ -351,13 +295,6 @@ class LinearReservations:
         # id(table) -> (table, ((row, offset_mask), ...)); the entry pins
         # the table alive, so ids cannot be recycled under us.
         self._local: Dict[int, Tuple[ReservationTable, Tuple]] = {}
-        self.checks = 0
-        self.cell_probes = 0
-
-    @property
-    def fastpath_checks(self) -> int:
-        """Every linear probe is a bit-grid AND (no slow path exists)."""
-        return self.checks
 
     # -- compilation ---------------------------------------------------
 
@@ -377,7 +314,6 @@ class LinearReservations:
 
     def conflicts(self, table: ReservationTable, time: int) -> bool:
         """Would placing ``table`` at ``time`` collide with the schedule?"""
-        self.checks += 1
         occ = self._occ
         for row, mask in self._compiled(table):
             if occ[row] & (mask << time):
@@ -422,7 +358,7 @@ class LinearReservations:
     def _raise_reserve_conflict(
         self, op: int, table: ReservationTable, time: int
     ) -> None:
-        """Report the first offending use, exactly as the oracle would."""
+        """Report the first offending use, in the table's use order."""
         for resource, offset in table.uses:
             row = self._rows[resource]
             bit = 1 << (time + offset)
@@ -458,162 +394,3 @@ class LinearReservations:
                     cells[(resource, low.bit_length() - 1)] = op
                     mask ^= low
         return cells
-
-
-# ----------------------------------------------------------------------
-# Dict-of-cells implementation (the differential oracle)
-
-
-class DictLinearReservations:
-    """The original dict-backed acyclic schedule reservation table."""
-
-    def __init__(self) -> None:
-        # (resource, folded time) -> occupying operation index
-        self._cells: Dict[Tuple[str, int], int] = {}
-        # operation index -> cells it occupies
-        self._held: Dict[int, List[Tuple[str, int]]] = {}
-        self.checks = 0
-        self.fastpath_checks = 0
-        self.cell_probes = 0
-
-    def _fold(self, time: int) -> int:
-        return time
-
-    # ------------------------------------------------------------------
-
-    def conflicts(self, table: ReservationTable, time: int) -> bool:
-        """Would placing ``table`` at ``time`` collide with the schedule?
-
-        Includes *self*-conflicts: under modulo folding, two uses of the
-        same resource at offsets differing by a multiple of II land in the
-        same cell, making the table unplaceable at this II no matter what
-        else is scheduled (e.g. a load whose port is busy at issue and at
-        data return cannot be scheduled at II equal to the return offset).
-        """
-        self.checks += 1
-        occupied = self._cells
-        fold = self._fold
-        cells = set()
-        probed = 0
-        hit = False
-        for resource, offset in table.uses:
-            probed += 1
-            cell = (resource, fold(time + offset))
-            if cell in occupied or cell in cells:
-                hit = True
-                break
-            cells.add(cell)
-        self.cell_probes += probed
-        return hit
-
-    def self_conflicting(self, table: ReservationTable) -> bool:
-        """True when the table folds onto itself at this interval."""
-        cells = set()
-        for resource, offset in table.uses:
-            cell = (resource, self._fold(offset))
-            if cell in cells:
-                return True
-            cells.add(cell)
-        return False
-
-    def conflicting_ops(
-        self, tables: Iterable[ReservationTable], time: int
-    ) -> Set[int]:
-        """Operations occupying any cell any of ``tables`` would use.
-
-        This is the displacement set of Section 3.4: when an operation must
-        be force-scheduled, everything conflicting with *any* of its
-        alternatives is unscheduled.
-        """
-        occupants: Set[int] = set()
-        for table in tables:
-            for resource, offset in table.uses:
-                self.cell_probes += 1
-                holder = self._cells.get((resource, self._fold(time + offset)))
-                if holder is not None:
-                    occupants.add(holder)
-        return occupants
-
-    def reserve(self, op: int, table: ReservationTable, time: int) -> None:
-        """Overlay ``table`` at ``time`` on behalf of operation ``op``."""
-        if op in self._held:
-            raise ReservationConflict(f"operation {op} already holds cells")
-        cells: List[Tuple[str, int]] = []
-        taken: Set[Tuple[str, int]] = set()
-        for resource, offset in table.uses:
-            cell = (resource, self._fold(time + offset))
-            self.cell_probes += 1
-            holder = self._cells.get(cell)
-            if holder is not None:
-                raise ReservationConflict(
-                    f"operation {op} at time {time}: {resource!r} slot "
-                    f"{cell[1]} already held by operation {holder}"
-                )
-            if cell in taken:
-                raise ReservationConflict(
-                    f"operation {op} at time {time}: table "
-                    f"{table.name!r} self-conflicts on {resource!r} slot "
-                    f"{cell[1]} at this interval"
-                )
-            taken.add(cell)
-            cells.append(cell)
-        for cell in cells:
-            self._cells[cell] = op
-        self._held[op] = cells
-
-    def release(self, op: int) -> None:
-        """Remove all reservations held by operation ``op`` (idempotent)."""
-        for cell in self._held.pop(op, ()):
-            del self._cells[cell]
-
-    def holds(self, op: int) -> bool:
-        """Whether operation ``op`` currently holds any cells."""
-        return op in self._held
-
-    def occupancy(self) -> Dict[Tuple[str, int], int]:
-        """Copy of the cell map, for validation and rendering."""
-        return dict(self._cells)
-
-
-class DictModuloReservations(DictLinearReservations):
-    """The original dict-backed MRT: cells are folded by ``time mod II``."""
-
-    def __init__(self, ii: int) -> None:
-        if ii < 1:
-            raise ValueError(f"II must be >= 1, got {ii}")
-        super().__init__()
-        self.ii = ii
-
-    def _fold(self, time: int) -> int:
-        return time % self.ii
-
-    def render(self, resources: Iterable[str]) -> str:
-        """ASCII kernel view: one row per modulo slot, one column per resource."""
-        return _render_kernel(self._cells, self.ii, resources)
-
-
-# ----------------------------------------------------------------------
-# Factories (what the schedulers construct through)
-
-
-def make_modulo_reservations(
-    ii: int, machine=None, impl: Optional[str] = None
-):
-    """Build an MRT for ``ii``: the bitmask table unless the dict oracle
-    was selected (``impl`` argument or ``REPRO_MRT_IMPL``)."""
-    if resolve_mrt_impl(impl) == "dict":
-        return DictModuloReservations(ii)
-    mask_set = None
-    if machine is not None:
-        compiled_masks = getattr(machine, "compiled_masks", None)
-        if compiled_masks is not None:
-            mask_set = compiled_masks(ii)
-    return ModuloReservations(ii, mask_set=mask_set)
-
-
-def make_linear_reservations(machine=None, impl: Optional[str] = None):
-    """Build a linear schedule reservation table (see
-    :func:`make_modulo_reservations` for implementation selection)."""
-    if resolve_mrt_impl(impl) == "dict":
-        return DictLinearReservations()
-    return LinearReservations(machine=machine)

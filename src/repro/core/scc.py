@@ -92,9 +92,9 @@ def shared_components(
     Tarjan run is paid once per graph and shared by every consumer (the
     MII computation, the HeightR solve of every candidate II, ...).
     The traversal cost is billed to ``counters.scc_steps`` on *every*
-    call — as-if accounting, like the batched FindTimeSlot probes — so
-    the complexity telemetry is independent of cache warmth.  Unsealed
-    graphs fall through to a fresh run.
+    call, so ``scc_steps`` keeps Table 4's meaning — the SCC work each
+    consumer's algorithm calls for — whatever the memo already holds.
+    Unsealed graphs fall through to a fresh run.
     """
     cached = getattr(graph, "_scc_cache", None) if graph.sealed else None
     if cached is None:

@@ -15,7 +15,11 @@ paper describes:
 * priorities are HeightR (Figure 5a);
 * Estart considers only *currently scheduled* predecessors (Figure 5b);
 * only II contiguous candidate time slots are tried, on a modulo
-  reservation table;
+  reservation table — one bitmask sweep per window
+  (:meth:`repro.core.mrt.ModuloReservations.first_free_slot`) returns
+  the slot and alternative Figure 4's time-major, alternative-minor scan
+  would pick, and ``findtimeslot_iters`` counts the (slot, alternative)
+  pairs that scan examines up to its answer (Table 4);
 * when no conflict-free slot exists, a slot is forced with the
   forward-progress rule of Figure 4, and every operation conflicting with
   any of the opcode's alternatives is displaced (Section 3.4), along with
@@ -25,7 +29,6 @@ paper describes:
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Set, Tuple
 
@@ -34,36 +37,11 @@ import numpy as np
 from repro.core.deadline import Deadline, check_deadline
 from repro.core.heights import height_r
 from repro.core.mii import MIIResult, compute_mii
-from repro.core.mrt import (
-    ModuloReservations,
-    make_modulo_reservations,
-    resolve_mrt_impl,
-)
+from repro.core.mrt import ModuloReservations
 from repro.core.schedule import Schedule
 from repro.core.stats import Counters
 from repro.ir.graph import DependenceGraph, GraphError
 from repro.machine.resources import ReservationTable
-
-
-#: FindTimeSlot probing strategies; "batch" answers a whole II-wide
-#: window across all alternatives with a handful of mask rotations.
-SLOT_IMPLS = ("batch", "scalar")
-
-#: Environment override consulted when no explicit ``slot_impl`` is given.
-SLOT_IMPL_ENV = "REPRO_SLOT_IMPL"
-
-
-def resolve_slot_impl(impl: Optional[str] = None) -> str:
-    """Pick the FindTimeSlot strategy: explicit arg > environment > batch."""
-    choice = (
-        impl if impl is not None else os.environ.get(SLOT_IMPL_ENV, "batch")
-    )
-    if choice not in SLOT_IMPLS:
-        raise ValueError(
-            f"unknown slot implementation {choice!r}; "
-            f"choose from {SLOT_IMPLS}"
-        )
-    return choice
 
 
 class SchedulingFailure(RuntimeError):
@@ -300,9 +278,7 @@ class IterativeScheduler:
         counters: Optional[Counters] = None,
         priority: str = "heightr",
         trace=None,
-        mrt_impl: Optional[str] = None,
         deadline: Optional[Deadline] = None,
-        slot_impl: Optional[str] = None,
     ) -> None:
         if not graph.sealed:
             raise GraphError(f"graph {graph.name!r} must be sealed")
@@ -312,9 +288,6 @@ class IterativeScheduler:
         self.counters = counters if counters is not None else Counters()
         self.trace = trace
         self.deadline = deadline
-        self.mrt_impl = resolve_mrt_impl(mrt_impl)
-        self.slot_impl = resolve_slot_impl(slot_impl)
-        self._slot_batch_probes = 0
         try:
             scheme = PRIORITY_SCHEMES[priority]
         except KeyError:
@@ -336,30 +309,15 @@ class IterativeScheduler:
         failed attempt is returned; otherwise None.
         """
         graph = self.graph
-        self._mrt = make_modulo_reservations(
-            self.ii, machine=self.machine, impl=self.mrt_impl
-        )
-        mask_set = None
-        if self.mrt_impl == "mask":
-            compiled_masks = getattr(self.machine, "compiled_masks", None)
-            if compiled_masks is not None:
-                mask_set = compiled_masks(self.ii)
+        mask_set = self.machine.compiled_masks(self.ii)
+        self._mrt = ModuloReservations(self.ii, mask_set)
         self._feasible_alts: Dict[str, tuple] = {}
         for operation in graph.real_operations():
             if operation.opcode in self._feasible_alts:
                 continue
-            if mask_set is not None:
-                # Self-conflicting alternatives were rejected once at
-                # mask-compile time; reuse that verdict per (machine, II).
-                usable = mask_set.feasible(operation.opcode)
-            else:
-                usable = tuple(
-                    alt
-                    for alt in self.machine.opcode(
-                        operation.opcode
-                    ).alternatives
-                    if not self._mrt.self_conflicting(alt)
-                )
+            # Self-conflicting alternatives were rejected once at
+            # mask-compile time; reuse that verdict per (machine, II).
+            usable = mask_set.feasible(operation.opcode)
             if not usable:
                 return _AttemptResult(False, {}, {}, 0)
             self._feasible_alts[operation.opcode] = usable
@@ -396,13 +354,6 @@ class IterativeScheduler:
             None if opcode is None else self._feasible_alts[opcode]
             for opcode in opcodes
         ]
-        # Batched FindTimeSlot needs the bitmask MRT's occupancy integer;
-        # the dict oracle keeps the scalar scan (exactly as recorded in
-        # the as-if probe accounting, so counters agree either way).
-        self._batch_slots = (
-            self.slot_impl == "batch"
-            and type(self._mrt) is ModuloReservations
-        )
         # Estart sweeps run once per scheduling step (and per readiness
         # probe in the instruction-driven style); precompute each
         # operation's predecessor array with the II-resolved edge weight
@@ -461,9 +412,7 @@ class IterativeScheduler:
             estart = self._calculate_early_start(op)
             if self.trace is not None:
                 self.trace.pick(op, estart)
-            min_time = estart
-            max_time = min_time + self.ii - 1
-            slot, alternative = self._find_time_slot(op, min_time, max_time)
+            slot, alternative = self._find_time_slot(op, estart)
             if (
                 alternative is None
                 and not self._is_pseudo[op]
@@ -520,9 +469,14 @@ class IterativeScheduler:
         return estart
 
     def _find_time_slot(
-        self, op: int, min_time: int, max_time: int
+        self, op: int, min_time: int
     ) -> Tuple[int, Optional[ReservationTable]]:
         """FindTimeSlot per Figure 4, extended over the opcode alternatives.
+
+        Searches ``[min_time, min_time + II - 1]`` time-major,
+        alternative-minor.  ``findtimeslot_iters`` counts the
+        (slot, alternative) pairs that scan examines up to its answer —
+        all II × alternatives of them when the window is full.
 
         Returns ``(slot, alternative)``; ``alternative`` is ``None`` when
         the slot was forced (the caller then displaces conflicting
@@ -532,24 +486,13 @@ class IterativeScheduler:
             self.counters.findtimeslot_iters += 1
             return min_time, None
         alternatives = self._op_alts[op]
-        if self._batch_slots:
-            # One mask/rotate sweep answers the whole II-wide window over
-            # every alternative; ``findtimeslot_iters`` still records the
-            # (slot, alternative) pairs the scalar scan would have probed.
-            self._slot_batch_probes += 1
-            time, index = self._mrt.first_free_slot(alternatives, min_time)
-            if time is not None:
-                self.counters.findtimeslot_iters += (
-                    (time - min_time) * len(alternatives) + index + 1
-                )
-                return time, alternatives[index]
-            self.counters.findtimeslot_iters += self.ii * len(alternatives)
-        else:
-            for time in range(min_time, max_time + 1):
-                for alternative in alternatives:
-                    self.counters.findtimeslot_iters += 1
-                    if not self._mrt.conflicts(alternative, time):
-                        return time, alternative
+        time, index = self._mrt.first_free_slot(alternatives, min_time)
+        if time is not None:
+            self.counters.findtimeslot_iters += (
+                (time - min_time) * len(alternatives) + index + 1
+            )
+            return time, alternatives[index]
+        self.counters.findtimeslot_iters += self.ii * len(alternatives)
         # No conflict-free slot: pick one that guarantees forward progress.
         if op in self._never_scheduled or min_time > self._prev_time[op]:
             return min_time, None
@@ -599,8 +542,8 @@ class IterativeScheduler:
     ) -> None:
         if alternative is not None:
             self._mrt.reserve(op, alternative, slot)
-            # The MRT's fast path works on CompiledAlternative wrappers;
-            # the schedule itself records the underlying table.
+            # The MRT works on CompiledAlternative wrappers; the schedule
+            # itself records the underlying table.
             alternative = getattr(alternative, "table", alternative)
         self._times[op] = slot
         if self._time_arr is not None:
@@ -666,9 +609,7 @@ def modulo_schedule(
     style: str = "operation",
     trace=None,
     obs=None,
-    mrt_impl: Optional[str] = None,
     deadline: Optional[Deadline] = None,
-    slot_impl: Optional[str] = None,
 ) -> ModuloScheduleResult:
     """ModuloSchedule (Figure 2): find a legal modulo schedule.
 
@@ -708,20 +649,8 @@ def modulo_schedule(
         attempt becomes a ``schedule.attempt`` span carrying the
         candidate II, the budget burn-down (steps used / remaining) and
         the displacement/force counts of that attempt; deterministic
-        outcome metrics (attempts, delta II, per-attempt steps, MRT
-        conflict-probe counts ``mrt.conflict_checks`` /
-        ``mrt.mask_fastpath``) land in the metrics registry.
-    mrt_impl:
-        Reservation-table implementation: ``"mask"`` (the bitmask fast
-        path, the default), ``"dict"`` (the original dict-of-cells
-        oracle), or ``None`` to consult ``REPRO_MRT_IMPL``.
-    slot_impl:
-        FindTimeSlot strategy: ``"batch"`` (the default — one
-        mask/rotate sweep per window over all alternatives, bitmask MRT
-        only; the dict oracle always scans), ``"scalar"`` (the per-slot,
-        per-alternative scan), or ``None`` to consult
-        ``REPRO_SLOT_IMPL``.  Schedules and counters are identical
-        either way.
+        outcome metrics (attempts, delta II, per-attempt steps) land in
+        the metrics registry.
     deadline:
         Optional cooperative :class:`repro.core.deadline.Deadline`.
         Checked before every II attempt and every 32 operation-scheduling
@@ -784,18 +713,10 @@ def modulo_schedule(
             with obs.span("schedule.attempt", ii=ii) as attempt_span:
                 scheduler = scheduler_class(
                     graph, machine, ii, counters, priority=priority,
-                    trace=trace, mrt_impl=mrt_impl, deadline=deadline,
-                    slot_impl=slot_impl,
+                    trace=trace, deadline=deadline,
                 )
                 attempt = scheduler.run(budget)
             steps_by_ii[ii] = attempt.steps
-            mrt = getattr(scheduler, "_mrt", None)
-            if mrt is not None:
-                obs.counter("mrt.conflict_checks").inc(mrt.checks)
-                obs.counter("mrt.mask_fastpath").inc(mrt.fastpath_checks)
-            obs.counter("sched.slot_batch_probes").inc(
-                scheduler._slot_batch_probes
-            )
             attempt_span.set("success", attempt.success)
             attempt_span.set("steps", attempt.steps)
             attempt_span.set("budget", budget)

@@ -135,7 +135,9 @@ class CompiledAlternative:
         holds (detected once here, never re-derived per probe).
     row_uses:
         The deduplicated ``(row, offset % ii)`` pairs of the table's
-        uses, sorted.  The batched FindTimeSlot kernel consumes these:
+        uses, sorted.  FindTimeSlot's window sweep
+        (:meth:`repro.core.mrt.ModuloReservations.first_free_slot`)
+        consumes these:
         for each pair, rotating the row's II-bit occupancy right by the
         folded offset yields the issue slots this use alone would
         conflict at, and OR-ing the rotations over ``row_uses`` yields

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.analysis import evaluate_corpus, evaluate_loop, render_series, render_table
+from repro.ir import DependenceGraph, DependenceKind
 from repro.machine import cydra5
 from repro.workloads import build_corpus
+from repro.workloads.corpus import CorpusLoop
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +59,27 @@ class TestEvaluation:
         evaluation = evaluate_loop(corpus[0], machine)
         assert evaluation.loop is corpus[0]
         assert evaluation.n_real_ops == corpus[0].graph.n_real_ops
+
+    def test_unschedulable_loop_raises_the_engine_failure(self, machine):
+        """A zero-distance dependence circuit has no schedule at any II;
+        the single-loop path reports it as the engine's failure record."""
+        graph = DependenceGraph(machine, name="circular")
+        a = graph.add_operation("fadd", dest="a", srcs=("b",))
+        b = graph.add_operation("fmul", dest="b", srcs=("a",))
+        graph.add_edge(a, b, DependenceKind.FLOW)
+        graph.add_edge(b, a, DependenceKind.FLOW)
+        loop = CorpusLoop(
+            name="circular",
+            graph=graph.seal(),
+            category="synthetic",
+            entry_freq=1,
+            loop_freq=10,
+            executed=True,
+        )
+        with pytest.raises(
+            RuntimeError, match="circular: GraphError during mindist"
+        ):
+            evaluate_loop(loop, machine)
 
 
 class TestReportRendering:

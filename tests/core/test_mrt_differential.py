@@ -1,35 +1,34 @@
-"""Differential tests: the bitmask MRT against the dict-of-cells oracle.
+"""Differential tests: the bitmask tables against the dict-of-cells oracles.
 
 Random reserve/release scripts drive both implementations in lockstep;
 after every step they must agree on every observable — ``conflicts``,
 ``conflicting_ops``, ``occupancy``, ``holds``, whether ``reserve`` raised
 and with exactly which :class:`ReservationConflict` message, and the
-byte-exact ``render`` output.  The factory/flag plumbing and the wide
-reservation-table regression (the old ``reserve`` probed an O(uses)
-list per use) live here too, as does the batched FindTimeSlot probe
-(:meth:`ModuloReservations.first_free_slot`) against the scalar
-time-major, alternative-minor scan: same placement, same as-if probe
-accounting.
+byte-exact ``render`` output.  The wide reservation-table regression
+(the old ``reserve`` probed an O(uses) list per use) lives here too, as
+does FindTimeSlot's window sweep
+(:meth:`ModuloReservations.first_free_slot`) against Figure 4's scalar
+time-major, alternative-minor scan on the dict oracle, and the
+feasible-alternative sets the machine's mask compilation hands the
+scheduler against the dict oracle's self-conflict verdict.
 """
 
 from __future__ import annotations
+
+import inspect
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+import repro.machine
 from repro.core import (
-    DictLinearReservations,
-    DictModuloReservations,
     LinearReservations,
     ModuloReservations,
     ReservationConflict,
-    make_linear_reservations,
-    make_modulo_reservations,
-    resolve_mrt_impl,
 )
-from repro.core.mrt import MRT_IMPL_ENV
-from repro.machine import ReservationTable, cydra5
+from repro.machine import MachineDescription, ReservationTable, cydra5
+from tests.oracles.mrt import DictLinearReservations, DictModuloReservations
 
 _SETTINGS = settings(
     max_examples=60,
@@ -150,36 +149,9 @@ class TestLinearLockstep:
 
 
 class TestFactories:
-    def test_default_is_the_bitmask_table(self):
-        assert type(make_modulo_reservations(4)) is ModuloReservations
-        assert type(make_linear_reservations()) is LinearReservations
-
-    def test_dict_oracle_selectable(self):
-        mrt = make_modulo_reservations(4, impl="dict")
-        assert type(mrt) is DictModuloReservations
-        assert type(make_linear_reservations(impl="dict")) is (
-            DictLinearReservations
-        )
-
-    def test_environment_override(self, monkeypatch):
-        monkeypatch.setenv(MRT_IMPL_ENV, "dict")
-        assert resolve_mrt_impl() == "dict"
-        assert type(make_modulo_reservations(3)) is DictModuloReservations
-        # An explicit argument beats the environment.
-        assert type(make_modulo_reservations(3, impl="mask")) is (
-            ModuloReservations
-        )
-
-    def test_unknown_impl_rejected(self, monkeypatch):
-        with pytest.raises(ValueError):
-            resolve_mrt_impl("quantum")
-        monkeypatch.setenv(MRT_IMPL_ENV, "bogus")
-        with pytest.raises(ValueError):
-            make_modulo_reservations(4)
-
     def test_machine_seeds_the_resource_rows(self):
         machine = cydra5()
-        mrt = make_modulo_reservations(4, machine=machine)
+        mrt = ModuloReservations(4, machine.compiled_masks(4))
         alternative = machine.opcode("fadd").alternatives[0]
         mrt.reserve(1, alternative, 0)
         oracle = DictModuloReservations(4)
@@ -239,7 +211,7 @@ class TestWideTableRegression:
 
 
 # ----------------------------------------------------------------------
-# Batched FindTimeSlot vs the scalar scan.
+# FindTimeSlot's window sweep vs Figure 4's scalar scan.
 
 
 @st.composite
@@ -264,57 +236,84 @@ def slot_scenarios(draw):
         return ReservationTable(tag, uses)
 
     mrt = ModuloReservations(ii)
+    oracle = DictModuloReservations(ii)
     op = 0
     for i in range(draw(st.integers(min_value=0, max_value=5))):
         candidate = table(f"fill{i}")
         time = draw(st.integers(min_value=0, max_value=2 * ii))
         if not mrt.conflicts(candidate, time):
             mrt.reserve(op, candidate, time)
+            oracle.reserve(op, candidate, time)
             op += 1
     alternatives = [
         table(f"alt{i}")
         for i in range(draw(st.integers(min_value=1, max_value=3)))
     ]
     min_time = draw(st.integers(min_value=0, max_value=3 * ii))
-    return mrt, alternatives, min_time
-
-
-def _scalar_scan(mrt, alternatives, min_time):
-    """The oracle: probe every (slot, alternative) pair in scan order."""
-    for time in range(min_time, min_time + mrt.ii):
-        for idx, alternative in enumerate(alternatives):
-            if not mrt.conflicts(alternative, time):
-                return time, idx
-    return None, None
+    return mrt, oracle, alternatives, min_time
 
 
 class TestFirstFreeSlotParity:
     @settings(max_examples=120, deadline=None)
     @given(scenario=slot_scenarios())
     def test_batch_matches_the_scalar_scan(self, scenario):
-        """Same placement, same winning alternative, and the same
-        ``checks`` accounting as if the scalar scan had run."""
-        mrt, alternatives, min_time = scenario
-        before = mrt.checks
-        expected = _scalar_scan(mrt, alternatives, min_time)
-        scalar_probes = mrt.checks - before
-        before = mrt.checks
-        got = mrt.first_free_slot(alternatives, min_time)
-        assert got == expected
-        assert mrt.checks - before == scalar_probes
+        """The window sweep returns the slot and alternative index that
+        Figure 4's time-major, alternative-minor scan finds first."""
+        mrt, oracle, alternatives, min_time = scenario
+        expected = oracle.first_free_slot(alternatives, min_time)
+        assert mrt.first_free_slot(alternatives, min_time) == expected
 
     def test_ties_go_to_the_earliest_declared_alternative(self):
-        mrt = ModuloReservations(4)
         a = ReservationTable("a", [("r0", 0)])
         b = ReservationTable("b", [("r0", 0)])
-        time, index = mrt.first_free_slot([a, b], min_time=3)
-        assert (time, index) == (3, 0)
+        for mrt in (ModuloReservations(4), DictModuloReservations(4)):
+            time, index = mrt.first_free_slot([a, b], min_time=3)
+            assert (time, index) == (3, 0)
 
     def test_full_window_reports_no_slot(self):
-        mrt = ModuloReservations(2)
         blocker = ReservationTable("blk", [("r0", 0), ("r0", 1)])
-        mrt.reserve(0, blocker, 0)
         probe = ReservationTable("p", [("r0", 0)])
-        before = mrt.checks
-        assert mrt.first_free_slot([probe], min_time=5) == (None, None)
-        assert mrt.checks - before == mrt.ii  # ii slots x one alternative
+        for mrt in (ModuloReservations(2), DictModuloReservations(2)):
+            mrt.reserve(0, blocker, 0)
+            assert mrt.first_free_slot([probe], min_time=5) == (None, None)
+
+
+def _machine_factories():
+    """Every machine factory ``repro.machine`` exports: the functions
+    callable without arguments that return a machine description."""
+    factories = []
+    for name in repro.machine.__all__:
+        value = getattr(repro.machine, name)
+        if isinstance(value, type) or not callable(value):
+            continue
+        required = [
+            p
+            for p in inspect.signature(value).parameters.values()
+            if p.default is inspect.Parameter.empty
+        ]
+        if not required and isinstance(value(), MachineDescription):
+            factories.append(value)
+    return factories
+
+
+class TestFeasibleAlternatives:
+    """The scheduler takes each opcode's usable alternatives from
+    ``CompiledMaskSet.feasible``; the dict oracle's ``self_conflicting``
+    must accept exactly those, in the same order."""
+
+    @pytest.mark.parametrize(
+        "factory", _machine_factories(), ids=lambda f: f.__name__
+    )
+    def test_mask_compilation_agrees_with_the_dict_oracle(self, factory):
+        machine = factory()
+        for ii in range(1, 33):
+            mask_set = machine.compiled_masks(ii)
+            oracle = DictModuloReservations(ii)
+            for opcode in machine.opcode_names:
+                expected = [
+                    alt
+                    for alt in machine.opcode(opcode).alternatives
+                    if not oracle.self_conflicting(alt)
+                ]
+                got = [alt.table for alt in mask_set.feasible(opcode)]
+                assert got == expected, (machine.name, ii, opcode)

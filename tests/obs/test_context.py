@@ -2,7 +2,9 @@
 the PhaseTimer/Counters views, and the disabled-context cost contract."""
 
 import json
+import re
 import timeit
+from pathlib import Path
 
 import pytest
 
@@ -228,6 +230,17 @@ class TestViews:
         snap = obs.metrics.snapshot()["counters"]
         assert snap["algo.ops_scheduled"] == 8
         assert snap["algo.ops_forced"] == 2
+
+    def test_documented_algo_metrics_are_counters_fields(self):
+        """Every ``algo.<name>`` docs/OBSERVABILITY.md names is one
+        ``absorb_counters`` emits: a :class:`Counters` field."""
+        doc = (
+            Path(__file__).resolve().parents[2] / "docs" / "OBSERVABILITY.md"
+        ).read_text()
+        named = set(re.findall(r"\balgo\.([a-z_]+)", doc))
+        assert named, "the metric inventory names no algo.* metric"
+        fields = set(Counters().snapshot())
+        assert named <= fields, sorted(named - fields)
 
 
 class TestNullContext:

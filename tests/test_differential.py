@@ -28,6 +28,7 @@ from repro.machine import cydra5
 from repro.simulator import check_equivalence
 from repro.simulator.state import make_initial_state
 from repro.workloads import build_corpus
+from tests.oracles.mrt import use_dict_tables
 
 #: Iterations to simulate — comfortably more than any kernel's stage count.
 SIM_ITERATIONS = 24
@@ -128,24 +129,27 @@ def _alternative_names(schedule):
 
 
 class TestMrtImplementationParity:
-    """The bitmask MRT and the dict oracle must schedule identically.
+    """The bitmask tables and the dict oracles must schedule identically.
 
-    Acceptance for the bitmask kernel: over the *full* corpus, both
-    implementations reach the same II, the same schedule length, the
-    same per-operation times, and pick the same opcode alternatives —
-    the fast path is a pure representation change.
+    Over the *full* corpus, scheduling on the bitmask tables and on the
+    dict-of-cells oracles (``tests/oracles/mrt.py``, patched in under the
+    unchanged schedulers) reaches the same II, the same schedule length,
+    the same per-operation times and the same opcode alternatives — the
+    bitmask tables are a pure representation change.
     """
 
     def test_modulo_scheduler_agrees_over_the_full_corpus(
-        self, machine, corpus
+        self, machine, corpus, monkeypatch
     ):
-        for loop in corpus:
-            mii_result = compute_mii(loop.graph, machine)
-            mask = modulo_schedule(
-                loop.graph, machine, mii_result=mii_result, mrt_impl="mask"
-            )
+        mii_results = [compute_mii(loop.graph, machine) for loop in corpus]
+        masks = [
+            modulo_schedule(loop.graph, machine, mii_result=mii_result)
+            for loop, mii_result in zip(corpus, mii_results)
+        ]
+        use_dict_tables(monkeypatch)
+        for loop, mii_result, mask in zip(corpus, mii_results, masks):
             oracle = modulo_schedule(
-                loop.graph, machine, mii_result=mii_result, mrt_impl="dict"
+                loop.graph, machine, mii_result=mii_result
             )
             context = loop.name
             assert mask.ii == oracle.ii, context
@@ -158,26 +162,16 @@ class TestMrtImplementationParity:
                 oracle.schedule
             ), context
 
-    def test_list_scheduler_agrees(self, machine, corpus):
-        for loop in corpus[:20]:
-            mask = list_schedule(loop.graph, machine, mrt_impl="mask")
-            oracle = list_schedule(loop.graph, machine, mrt_impl="dict")
+    def test_list_scheduler_agrees(self, machine, corpus, monkeypatch):
+        loops = corpus[:20]
+        masks = [list_schedule(loop.graph, machine) for loop in loops]
+        use_dict_tables(monkeypatch)
+        for loop, mask in zip(loops, masks):
+            oracle = list_schedule(loop.graph, machine)
             assert mask.times == oracle.times, loop.name
             assert _alternative_names(mask) == _alternative_names(oracle), (
                 loop.name
             )
-
-    def test_environment_selects_the_oracle_end_to_end(
-        self, machine, corpus, monkeypatch
-    ):
-        """REPRO_MRT_IMPL=dict routes a whole evaluation through the
-        oracle and changes no observable result."""
-        loop = corpus[0]
-        defaulted = modulo_schedule(loop.graph, machine)
-        monkeypatch.setenv("REPRO_MRT_IMPL", "dict")
-        forced = modulo_schedule(loop.graph, machine)
-        assert forced.ii == defaulted.ii
-        assert forced.schedule.times == defaulted.schedule.times
 
 
 class TestScheduleLengthBound:
@@ -210,46 +204,43 @@ class TestScheduleLengthBound:
 
 
 class TestSlotImplementationParity:
-    """Batched FindTimeSlot and the scalar time-major scan must place
-    every operation identically — same slots, same alternatives, and the
-    *same counter snapshot in full*: the batch path accounts its probes
-    as if the scalar scan had run."""
+    """FindTimeSlot's window sweep and Figure 4's scalar time-major scan
+    (the dict oracle's ``first_free_slot``) must place every operation
+    identically — same slots, same alternatives, and the *same counter
+    snapshot in full*, ``findtimeslot_iters`` included, along with the
+    same list schedule and its counters."""
 
     def test_modulo_scheduler_agrees_over_the_full_corpus(
-        self, machine, corpus
+        self, machine, corpus, monkeypatch
     ):
         from repro.core import Counters
 
-        for loop in corpus:
-            batch_counters, scalar_counters = Counters(), Counters()
-            batch = modulo_schedule(
-                loop.graph, machine, counters=batch_counters, slot_impl="batch"
-            )
-            scalar = modulo_schedule(
-                loop.graph,
-                machine,
-                counters=scalar_counters,
-                slot_impl="scalar",
-            )
-            context = loop.name
-            assert batch.ii == scalar.ii, context
-            assert batch.schedule.times == scalar.schedule.times, context
-            assert _alternative_names(batch.schedule) == _alternative_names(
-                scalar.schedule
-            ), context
-            assert (
-                batch_counters.snapshot() == scalar_counters.snapshot()
-            ), context
+        def observe():
+            observed = []
+            for loop in corpus:
+                counters, list_counters = Counters(), Counters()
+                result = modulo_schedule(
+                    loop.graph, machine, counters=counters
+                )
+                listed = list_schedule(loop.graph, machine, list_counters)
+                observed.append(
+                    (
+                        result.ii,
+                        result.schedule.times,
+                        _alternative_names(result.schedule),
+                        counters.snapshot(),
+                        listed.times,
+                        _alternative_names(listed),
+                        list_counters.snapshot(),
+                    )
+                )
+            return observed
 
-    def test_environment_selects_the_scalar_scan_end_to_end(
-        self, machine, corpus, monkeypatch
-    ):
-        loop = corpus[0]
-        defaulted = modulo_schedule(loop.graph, machine)
-        monkeypatch.setenv("REPRO_SLOT_IMPL", "scalar")
-        forced = modulo_schedule(loop.graph, machine)
-        assert forced.ii == defaulted.ii
-        assert forced.schedule.times == defaulted.schedule.times
+        batch = observe()
+        use_dict_tables(monkeypatch)
+        scalar = observe()
+        for loop, left, right in zip(corpus, batch, scalar):
+            assert left == right, loop.name
 
 
 @pytest.fixture(scope="module")
