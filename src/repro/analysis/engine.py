@@ -878,6 +878,7 @@ def _evaluate_loop_task(task: "_LoopTask") -> Dict[str, Any]:
             }
             loop_span.set("ok", False)
             loop_span.set("failed_phase", phase_box[0])
+            loop_span.set("kind", classify_failure(type(exc).__name__))
     samples = profiler.take() if profiler is not None else None
     return {
         "payload": payload,
@@ -922,6 +923,16 @@ def _pool_failure(error_type: str, message: str) -> Dict[str, Any]:
     }
 
 
+def _casualty_snapshot(failure: LoopFailure) -> Dict[str, Any]:
+    """The obs snapshot of a loop whose worker never replied."""
+    return {"spans": [{
+        "name": "loop", "span_id": 1, "parent_id": None,
+        "start": time.time(), "dur": 0.0, "pid": os.getpid(),
+        "attrs": {"loop": failure.loop_name, "ok": False,
+                  "failed_phase": failure.phase, "kind": failure.kind},
+    }]}
+
+
 # ----------------------------------------------------------------------
 # The engine
 
@@ -963,11 +974,13 @@ class EvaluationEngine:
         Optional :class:`repro.obs.ObsContext`.  When given, the run is
         traced end to end: a ``corpus.evaluate`` root span, a per-loop
         span tree from every worker (merged through the same JSON
-        round-trip the payloads use), ``cache.load`` spans for hits, and
-        a deterministic metric snapshot (cache counters, aggregated
-        algorithm counters, II/attempt histograms) that is byte-identical
-        for any ``jobs`` value on a clean run; ``resilience.*`` counters
-        appear only when fault events actually happen.
+        round-trip the payloads use; a failed loop's span names its
+        failure ``kind``), ``cache.load`` and ``journal.replay`` spans
+        with a ``hit`` flag, and a deterministic metric snapshot (cache
+        counters, aggregated algorithm counters, II/attempt histograms)
+        that is byte-identical for any ``jobs`` value on a clean run;
+        ``resilience.*`` counters appear only when fault events actually
+        happen.
     loop_timeout:
         Per-loop wall-clock deadline in seconds (None disables the
         watchdog).  Enforced cooperatively inside the algorithms, by a
@@ -1227,13 +1240,14 @@ class EvaluationEngine:
             pending: List[int] = []
             for index, key in enumerate(keys):
                 loop = corpus[index]
-                record = journaled.get(key)
-                if (
-                    record is not None
-                    and record.get("ok")
-                    and isinstance(record.get("payload"), dict)
-                ):
-                    evaluation, refused = self._admit(record["payload"], loop)
+                record = journaled.get(key, {})
+                payload = record.get("payload") if record.get("ok") else None
+                if isinstance(payload, dict):
+                    with obs.span(
+                        "journal.replay", loop=loop.name, index=index
+                    ) as replay:
+                        evaluation, refused = self._admit(payload, loop)
+                        replay.set("hit", evaluation is not None)
                     if evaluation is not None:
                         decoded[index] = evaluation
                         resumed_flags[index] = True
@@ -1246,8 +1260,11 @@ class EvaluationEngine:
                     )
                 if self.caching:
                     load_started = time.perf_counter()
-                    with obs.span("cache.load", loop=loop.name):
+                    with obs.span(
+                        "cache.load", loop=loop.name, index=index
+                    ) as load:
                         evaluation = self._cache_load(key, loop, stats)
+                        load.set("hit", evaluation is not None)
                     if evaluation is not None:
                         elapsed = time.perf_counter() - load_started
                         decoded[index] = evaluation
@@ -1322,14 +1339,17 @@ class EvaluationEngine:
             # order) so the merged trace is reproducible run over run.
             profile: Optional[Dict[str, int]] = None
             for index in pending:
-                if index in worker_output:
-                    snapshot, samples = worker_output[index]
-                    obs.absorb(snapshot, parent=root, index=index)
-                    if samples:
-                        if profile is None:
-                            profile = {}
-                        for stack, count in samples.items():
-                            profile[stack] = profile.get(stack, 0) + count
+                snapshot, samples = worker_output.get(index, (None, None))
+                if snapshot is None and index in failures_by_index:
+                    # A pool casualty (crash, reap) returns no snapshot: a
+                    # zero-length span recorded here stands in for it.
+                    snapshot = _casualty_snapshot(failures_by_index[index])
+                obs.absorb(snapshot, parent=root, index=index)
+                if samples:
+                    if profile is None:
+                        profile = {}
+                    for stack, count in samples.items():
+                        profile[stack] = profile.get(stack, 0) + count
 
             evaluations: List[LoopEvaluation] = []
             failures: List[LoopFailure] = []

@@ -114,9 +114,10 @@ def load_timing_report(path) -> dict:
     import json
     from pathlib import Path
 
+    from repro.analysis.engine import TIMING_FORMAT
+
     data = json.loads(Path(path).read_text())
-    expected = "repro.engine-timing.v1"
-    if not isinstance(data, dict) or data.get("format") != expected:
+    if not isinstance(data, dict) or data.get("format") != TIMING_FORMAT:
         raise ValueError(
             f"{path}: not an engine timing report "
             f"(format {data.get('format') if isinstance(data, dict) else data!r})"
@@ -125,7 +126,7 @@ def load_timing_report(path) -> dict:
 
 
 def load_obs_records(path) -> list:
-    """Load and schema-validate a ``repro.obs.v1``/``v2`` JSONL export.
+    """Load and schema-validate a ``repro.obs.v2`` JSONL export.
 
     Returns the decoded record list; raises :class:`ValueError` with the
     validator's findings when the file is not schema-valid.  This is the
@@ -144,38 +145,6 @@ def load_obs_records(path) -> list:
             f"{path}: not a valid repro.obs export: " + "; ".join(errors[:5])
         )
     return [json.loads(line) for line in text.splitlines() if line.strip()]
-
-
-def phase_regressions(
-    baseline,
-    candidate,
-    noise_ratio: float = 0.25,
-    noise_floor: float = 0.05,
-) -> dict:
-    """Noise-gated per-phase regressions between two timing reports.
-
-    Both arguments are timing reports (dicts) or paths.  Returns
-    ``{phase: (base_seconds, cand_seconds)}`` for every phase whose
-    total grew by more than ``max(noise_floor, noise_ratio * base)`` —
-    the same gate the observatory's ``repro obs diff`` applies to span
-    self time (:func:`repro.obs.analyze.diff_runs`), here available to
-    harnesses that only kept the flat reports.
-    """
-    if not isinstance(baseline, dict):
-        baseline = load_timing_report(baseline)
-    if not isinstance(candidate, dict):
-        candidate = load_timing_report(candidate)
-    base_phases = baseline.get("phase_seconds") or {}
-    cand_phases = candidate.get("phase_seconds") or {}
-    regressions = {}
-    for name in sorted(set(base_phases) | set(cand_phases)):
-        if name == "total":
-            continue
-        base = float(base_phases.get(name, 0.0))
-        cand = float(cand_phases.get(name, 0.0))
-        if cand - base > max(noise_floor, noise_ratio * base):
-            regressions[name] = (base, cand)
-    return regressions
 
 
 def counter_totals(report) -> dict:

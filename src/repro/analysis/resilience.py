@@ -273,14 +273,6 @@ class ResultJournal:
             records[record["key"]] = record
         return records
 
-    def completed_payloads(self) -> Dict[str, Dict[str, Any]]:
-        """Map of cache key -> payload for successfully journaled loops."""
-        return {
-            key: record["payload"]
-            for key, record in self.load().items()
-            if record.get("ok") and isinstance(record.get("payload"), dict)
-        }
-
 
 # ----------------------------------------------------------------------
 # Quarantine

@@ -42,7 +42,6 @@ from repro.core.mindist import NO_PATH, compute_mindist, mindist_feasible
 from repro.core.schedule import Schedule
 from repro.core.stats import Counters
 from repro.ir.graph import DependenceGraph
-from repro.machine.machine import CompiledMaskSet
 from repro.machine.resources import ReservationTable
 
 #: Encoding outcomes.
@@ -122,12 +121,7 @@ def encode_exact_ii(
     if not mindist_feasible(dist):
         return ExactEncoding(ii, INFEASIBLE, reason="recurrence")
 
-    compiled_masks = getattr(machine, "compiled_masks", None)
-    mask_set = (
-        compiled_masks(ii)
-        if compiled_masks is not None
-        else CompiledMaskSet(machine, ii)
-    )
+    mask_set = machine.compiled_masks(ii)
     feasible: Dict[str, tuple] = {}
     for operation in graph.real_operations():
         if operation.opcode in feasible:

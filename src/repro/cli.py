@@ -513,14 +513,13 @@ def _cmd_corpus(args, out) -> int:
     except OSError as exc:
         print(f"error: cache directory unusable: {exc}", file=sys.stderr)
         return 2
+    # One run description for both sinks, so --obs-db ingests exactly
+    # the records --obs-out writes.
+    run = {"command": "corpus", "machine": args.machine, "loops": args.loops,
+           "jobs": engine.jobs, "seed": args.seed, "verify": args.verify}
     if args.obs_out:
         try:
-            _write_obs(
-                obs, args, out,
-                run={"command": "corpus", "machine": args.machine,
-                     "loops": args.loops, "jobs": engine.jobs,
-                     "seed": args.seed, "verify": args.verify},
-            )
+            _write_obs(obs, args, out, run=run)
         except OSError as exc:
             print(f"error: obs output path unusable: {exc}", file=sys.stderr)
             return 2
@@ -534,12 +533,7 @@ def _cmd_corpus(args, out) -> int:
         try:
             with RunStore(args.obs_db) as store:
                 ingested = store.ingest_run_artifacts(
-                    obs.to_dict(),
-                    run={"command": "corpus", "machine": args.machine,
-                         "loops": args.loops, "jobs": engine.jobs,
-                         "seed": args.seed},
-                    timing_report=result.timing_report(),
-                    profile=result.profile,
+                    obs.to_dict(), run=run, profile=result.profile,
                     source="corpus",
                 )
         except (StoreError, OSError) as exc:
@@ -769,8 +763,8 @@ def build_parser() -> argparse.ArgumentParser:
     _obs_arguments(corpus)
     corpus.add_argument(
         "--obs-db", default=None, metavar="FILE",
-        help="record the run (spans, metrics, timings, profiler samples) "
-             "into this observatory database; implies tracing",
+        help="record the run (the --obs-out records plus profiler "
+             "samples) into this observatory database; implies tracing",
     )
     corpus.add_argument(
         "--profile", action="store_true",

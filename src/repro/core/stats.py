@@ -45,9 +45,3 @@ class Counters:
     def snapshot(self) -> dict:
         """Plain-dict copy, convenient for DataFrame-less tabulation."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-
-#: Shared no-op sink used when the caller does not ask for instrumentation.
-#: A real Counters is cheap, so we simply use one and throw it away.
-def _sink() -> Counters:
-    return Counters()

@@ -106,7 +106,6 @@ class MachineDescription:
                     )
             self._opcodes[opcode.name] = opcode
         self._content_key: Optional[str] = None
-        self._mask_sets: Dict[int, CompiledMaskSet] = {}
 
     # ------------------------------------------------------------------
 
@@ -129,18 +128,17 @@ class MachineDescription:
 
         Compilation happens at most once per (machine content, II) per
         process; repeated scheduler attempts, corpus loops, and even
-        distinct-but-equal machine instances all share the result.
+        distinct-but-equal machine instances all share the result.  The
+        machine itself holds no compiled masks, so its pickle (which
+        every engine task carries to a worker) stays the same size
+        whatever IIs were compiled.
         """
-        cached = self._mask_sets.get(ii)
-        if cached is not None:
-            return cached
         key = (self.content_key, ii)
         shared = _MASK_SET_CACHE.get(key)
         if shared is None:
             while len(_MASK_SET_CACHE) >= _MASK_SET_CACHE_LIMIT:
                 _MASK_SET_CACHE.pop(next(iter(_MASK_SET_CACHE)))
             shared = _MASK_SET_CACHE[key] = CompiledMaskSet(self, ii)
-        self._mask_sets[ii] = shared
         return shared
 
     # ------------------------------------------------------------------

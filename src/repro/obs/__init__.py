@@ -11,10 +11,9 @@ See ``docs/OBSERVABILITY.md`` for the span model, metric names, the
   instrumented call site defaults to (``obs = obs or NULL_OBS``);
 * :mod:`repro.obs.exporters` — JSONL and Chrome-trace writers (labeled
   worker lanes);
-* :mod:`repro.obs.schema` — the ``repro.obs.v2`` record schema, its
-  validator, and the back-compat v1 reader (also run by CI via
-  ``python -m repro.obs.check``);
-* :mod:`repro.obs.store` — the SQLite run store every export ingests
+* :mod:`repro.obs.schema` — the ``repro.obs.v2`` record schema and its
+  validator (also run by CI via ``python -m repro.obs.check``);
+* :mod:`repro.obs.store` — the SQLite run store the exports ingest
   into (:class:`~repro.obs.store.RunStore`);
 * :mod:`repro.obs.analyze` — phase profiles, top-loop attribution,
   run-to-run diffs and baseline budgets over the store;
@@ -42,9 +41,6 @@ from repro.obs.exporters import (
 )
 from repro.obs.schema import (
     FORMAT,
-    FORMAT_V1,
-    FORMAT_V2,
-    KNOWN_FORMATS,
     content_record_count,
     parse_jsonl,
     records_from_snapshot,
@@ -56,10 +52,7 @@ from repro.obs.schema import (
 
 __all__ = [
     "FORMAT",
-    "FORMAT_V1",
-    "FORMAT_V2",
     "FORMATS",
-    "KNOWN_FORMATS",
     "Histogram",
     "MetricsRegistry",
     "NULL_OBS",

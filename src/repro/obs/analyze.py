@@ -5,8 +5,7 @@ queries — no SQL of its own, no I/O — so the CLI renderers, the tests
 and CI all compute from one code path:
 
 * :func:`phase_profile` — per-span-name **self time** statistics with
-  nearest-rank p50/p95/p99 percentiles (falling back to the timing
-  report's per-loop phase seconds when a run has no spans);
+  nearest-rank p50/p95/p99 percentiles;
 * :func:`top_loops` — top-N loop attribution by wall clock, displacement
   count, scheduling attempts, or II slack (achieved II − MII);
 * :func:`diff_runs` — the statistical run-to-run diff: per-phase deltas
@@ -74,25 +73,12 @@ class PhaseStat:
 
 
 def phase_profile(store: RunStore, run_id: str) -> List[PhaseStat]:
-    """Per-span-name self-time profile, largest self-total first.
-
-    When the run was ingested from a timing report alone (no spans),
-    the per-loop phase seconds stand in: each loop's ``seconds[phase]``
-    becomes one sample of that phase.
-    """
+    """Per-span-name self-time profile, largest self-total first."""
     durations: Dict[str, List[float]] = {}
     totals: Dict[str, float] = {}
     for row in store.span_rows(run_id):
         durations.setdefault(row["name"], []).append(row["self_dur"])
         totals[row["name"]] = totals.get(row["name"], 0.0) + row["dur"]
-    if not durations:
-        for row in store.loop_rows(run_id):
-            seconds = json.loads(row["seconds_json"] or "{}")
-            for name, value in seconds.items():
-                if name == "total":
-                    continue
-                durations.setdefault(name, []).append(value)
-                totals[name] = totals.get(name, 0.0) + value
     stats = []
     for name, values in durations.items():
         self_total = sum(values)
@@ -100,7 +86,7 @@ def phase_profile(store: RunStore, run_id: str) -> List[PhaseStat]:
             PhaseStat(
                 name=name,
                 count=len(values),
-                total=totals.get(name, self_total),
+                total=totals[name],
                 self_total=self_total,
                 mean=self_total / len(values),
                 p50=percentile(values, 0.50),
@@ -134,7 +120,7 @@ def top_loops(
     loops = []
     for row in store.loop_rows(run_id):
         entry = dict(row)
-        entry["seconds"] = json.loads(entry.pop("seconds_json") or "{}")
+        entry["seconds"] = json.loads(entry.pop("seconds_json"))
         ii, mii = entry.get("ii"), entry.get("mii")
         entry["slack"] = (
             ii - mii if isinstance(ii, int) and isinstance(mii, int) else None
@@ -221,11 +207,17 @@ class RunDiff:
         }
 
 
-def _hit_rate(run: Dict[str, Any]) -> Optional[float]:
-    hits, misses = run.get("cache_hits"), run.get("cache_misses")
-    if hits is None or misses is None or hits + misses == 0:
-        return None
-    return hits / (hits + misses)
+def _hit_rate(counters: Dict[str, float]) -> Optional[float]:
+    hits = counters.get("engine.cache.hits", 0)
+    misses = counters.get("engine.cache.misses", 0)
+    return hits / (hits + misses) if hits + misses else None
+
+
+def _is_resilience_tally(name: str) -> bool:
+    """Whether a counter tallies fault events (docs/RESILIENCE.md)."""
+    return name.startswith("resilience.") or name in (
+        "cache.corrupt", "engine.resume.skipped"
+    )
 
 
 def _failure_kinds(store: RunStore, run_id: str) -> Dict[str, int]:
@@ -255,7 +247,8 @@ def diff_runs(
     never gets a noise allowance).  ``slower_loops`` names the top
     individual loops responsible for the regressed time, using per-loop
     span wall clock (which catches slowdowns *outside* the phase
-    timers, e.g. an injected sleep) with the timing report as fallback.
+    timers, e.g. an injected sleep).  Cache hit rate, resilience
+    tallies and counter deltas come from the runs' metrics.
     """
     diff = RunDiff(base_id, other_id, noise_ratio, noise_floor)
 
@@ -284,33 +277,18 @@ def diff_runs(
     diff.new_failure_kinds = sorted(set(other_kinds) - set(base_kinds))
     diff.vanished_failure_kinds = sorted(set(base_kinds) - set(other_kinds))
 
-    base_run = store.run_row(base_id)
-    other_run = store.run_row(other_id)
+    base_counters = store.counters(base_id)
+    other_counters = store.counters(other_id)
     diff.cache_hit_rate = {
-        "base": _hit_rate(base_run),
-        "other": _hit_rate(other_run),
+        "base": _hit_rate(base_counters),
+        "other": _hit_rate(other_counters),
     }
-    base_res = base_run.get("resilience") or {}
-    other_res = other_run.get("resilience") or {}
-    for name in sorted(set(base_res) | set(other_res)):
-        base_value = base_res.get(name, 0)
-        other_value = other_res.get(name, 0)
-        if isinstance(base_value, (int, float)) and isinstance(
-            other_value, (int, float)
-        ):
-            if other_value != base_value:
-                diff.resilience_deltas[name] = other_value - base_value
-    base_counters = store.counters(base_id) or (
-        base_run.get("counters") or {}
-    )
-    other_counters = store.counters(other_id) or (
-        other_run.get("counters") or {}
-    )
     for name in sorted(set(base_counters) | set(other_counters)):
-        base_value = base_counters.get(name, 0) or 0
-        other_value = other_counters.get(name, 0) or 0
-        if other_value != base_value:
-            diff.counter_deltas[name] = other_value - base_value
+        moved = other_counters.get(name, 0) - base_counters.get(name, 0)
+        if moved:
+            diff.counter_deltas[name] = moved
+            if _is_resilience_tally(name):
+                diff.resilience_deltas[name] = moved
 
     if not diff.clean:
         diff.slower_loops = _slower_loops(store, base_id, other_id, top_n)
@@ -318,17 +296,8 @@ def diff_runs(
 
 
 def _loop_walls(store: RunStore, run_id: str) -> Dict[str, float]:
-    """Per-loop wall clock: loop-span durations, else timing-report wall."""
-    walls: Dict[str, float] = {}
-    for row in store.span_rows(run_id):
-        if row["name"] == "loop" and row["loop"]:
-            walls[row["loop"]] = walls.get(row["loop"], 0.0) + row["dur"]
-    if walls:
-        return walls
-    for row in store.loop_rows(run_id):
-        if row["name"] and row["wall"] is not None:
-            walls[row["name"]] = row["wall"]
-    return walls
+    """Per-loop wall clock, from the loop rows the span tree folded into."""
+    return {row["name"]: row["wall"] for row in store.loop_rows(run_id)}
 
 
 def _slower_loops(
@@ -360,8 +329,7 @@ def make_baseline(
     machine variance; CI regenerates one with ``repro obs report
     --make-baseline`` when the engine legitimately changes shape.
     """
-    run = store.run_row(run_id)
-    n_loops = max(1, run.get("n_loops") or len(store.loop_rows(run_id)) or 1)
+    n_loops = max(1, store.run_row(run_id)["n_loops"])
     # A phase whose budget rounds to zero would breach on any epsilon of
     # self time; leave it out — absent phases are ignored at check time.
     budgets = {
@@ -387,8 +355,7 @@ def check_baseline(
     if baseline.get("format") != BASELINE_FORMAT:
         return [f"not a {BASELINE_FORMAT} document"]
     budgets = baseline.get("per_loop_self_seconds") or {}
-    run = store.run_row(run_id)
-    n_loops = max(1, run.get("n_loops") or len(store.loop_rows(run_id)) or 1)
+    n_loops = max(1, store.run_row(run_id)["n_loops"])
     breaches = []
     for stat in phase_profile(store, run_id):
         budget = budgets.get(stat.name)

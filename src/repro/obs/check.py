@@ -1,4 +1,4 @@
-"""Schema checker for ``repro.obs.v1``/``v2`` JSONL files.
+"""Schema checker for ``repro.obs.v2`` JSONL files.
 
 Usage::
 

@@ -2,7 +2,7 @@
 
 ::
 
-    repro obs ingest --db obs.db run1.jsonl timings.json journal.jsonl
+    repro obs ingest --db obs.db run1.jsonl [BENCH_SCHED.json ...]
     repro obs runs   --db obs.db
     repro obs report --db obs.db [RUN] [--baseline FILE] [--json]
     repro obs diff   --db obs.db BASE OTHER [--json]
@@ -273,7 +273,7 @@ def register(commands) -> None:
 
     ingest = sub.add_parser(
         "ingest",
-        help="ingest obs JSONL / timing reports / journals / BENCH "
+        help="ingest repro.obs.v2 JSONL exports and BENCH_*.json "
              "trajectories into the run store",
     )
     _db_argument(ingest)

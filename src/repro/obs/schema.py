@@ -1,4 +1,4 @@
-"""The ``repro.obs.v2`` record schema, its validator, and the v1 reader.
+"""The ``repro.obs.v2`` record schema and its validator.
 
 A traced run is exported as JSON Lines: one self-describing record per
 line, each carrying ``"format": "repro.obs.v2"`` and a ``"type"``:
@@ -22,11 +22,6 @@ line, each carrying ``"format": "repro.obs.v2"`` and a ``"type"``:
     of ``counter``/``gauge``/``histogram``; a histogram ``value`` is the
     summary dict ``{"count", "total", "min", "max"}``.
 
-Version 1 (``repro.obs.v1``) is identical except that spans carry no
-``tid``; the validator and every reader (the run store, the regression
-loaders, ``python -m repro.obs.check``) accept both, so archived v1
-exports stay ingestible.  A stream must not mix format markers.
-
 :func:`validate_records` is the single source of truth for the schema —
 the test suite and the CI smoke step (via :mod:`repro.obs.check`) both
 call it, so a schema drift fails fast in both places.
@@ -37,12 +32,8 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, Iterable, List, Optional
 
-FORMAT_V1 = "repro.obs.v1"
-FORMAT_V2 = "repro.obs.v2"
-#: The format new exports are written in.
-FORMAT = FORMAT_V2
-#: Every format marker the readers accept (newest first).
-KNOWN_FORMATS = (FORMAT_V2, FORMAT_V1)
+#: The format marker every record carries.
+FORMAT = "repro.obs.v2"
 
 _SPAN_FIELDS = {
     "name": str,
@@ -50,6 +41,7 @@ _SPAN_FIELDS = {
     "start": (int, float),
     "dur": (int, float),
     "pid": int,
+    "tid": int,
     "attrs": dict,
 }
 _METRIC_KINDS = ("counter", "gauge", "histogram")
@@ -126,16 +118,13 @@ def validate_record(record: Any) -> List[str]:
     """Schema errors of one decoded record ([] means valid).
 
     Structural only — cross-record checks (parent resolution, meta
-    placement, format mixing) live in :func:`validate_records`.
+    placement) live in :func:`validate_records`.
     """
     if not isinstance(record, dict):
         return [f"record is {type(record).__name__}, not an object"]
     errors: List[str] = []
-    fmt = record.get("format")
-    if fmt not in KNOWN_FORMATS:
-        errors.append(
-            f"format is {fmt!r}, not one of {'/'.join(KNOWN_FORMATS)}"
-        )
+    if record.get("format") != FORMAT:
+        errors.append(f"format is {record.get('format')!r}, not {FORMAT}")
     kind = record.get("type")
     if kind == "meta":
         if not isinstance(record.get("run"), dict):
@@ -144,8 +133,6 @@ def validate_record(record: Any) -> List[str]:
         for name, expected in _SPAN_FIELDS.items():
             if not isinstance(record.get(name), expected):
                 errors.append(f"span field {name!r} missing or mistyped")
-        if fmt == FORMAT_V2 and not isinstance(record.get("tid"), int):
-            errors.append("v2 span field 'tid' missing or mistyped")
         parent = record.get("parent_id")
         if parent is not None and not isinstance(parent, int):
             errors.append("span parent_id must be an int or null")
@@ -176,14 +163,12 @@ def validate_records(records: Iterable[Any]) -> List[str]:
     """Schema errors across a whole record stream ([] means valid).
 
     Beyond per-record structure: the stream must be non-empty, start
-    with exactly one ``meta`` record, carry a single format marker
-    throughout, use unique span ids, and every non-null ``parent_id``
-    must name a span in the stream.
+    with exactly one ``meta`` record, use unique span ids, and every
+    non-null ``parent_id`` must name a span in the stream.
     """
     errors: List[str] = []
     span_ids = set()
     parents: List[tuple] = []
-    formats = set()
     n = 0
     for index, record in enumerate(records):
         n += 1
@@ -191,8 +176,6 @@ def validate_records(records: Iterable[Any]) -> List[str]:
             errors.append(f"record {index}: {problem}")
         if not isinstance(record, dict):
             continue
-        if record.get("format") in KNOWN_FORMATS:
-            formats.add(record["format"])
         if (record.get("type") == "meta") != (index == 0):
             errors.append(
                 f"record {index}: exactly one meta record, first, expected"
@@ -209,11 +192,6 @@ def validate_records(records: Iterable[Any]) -> List[str]:
                 parents.append((index, record["parent_id"]))
     if n == 0:
         errors.append("no records")
-    if len(formats) > 1:
-        errors.append(
-            "mixed format markers in one stream: "
-            + ", ".join(sorted(formats))
-        )
     for index, parent in parents:
         if parent not in span_ids:
             errors.append(

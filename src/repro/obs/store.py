@@ -1,18 +1,20 @@
 """The scheduling observatory's persistent run store (SQLite).
 
-Every export the pipeline produces — ``repro.obs.v1``/``v2`` JSONL
-traces, engine timing reports (``repro.engine-timing.v1``), append-only
-journals (``repro.journal.v1``), and ``BENCH_*.json`` trajectories — is
-write-only on its own: you can validate it, but not aggregate two runs,
-diff them, or ask "which loops got slower".  :class:`RunStore` ingests
-all of them into one normalized SQLite database so those questions
-become queries:
+A ``repro.obs.v2`` export (:mod:`repro.obs.schema`) describes one run
+completely — every span, every metric — but on its own it is
+write-only: you can validate it, not aggregate two runs, diff them, or
+ask "which loops got slower".  :class:`RunStore` ingests exports (and
+``BENCH_*.json`` trajectories) into one normalized SQLite database so
+those questions become queries:
 
 ``runs``
     One row per ingested run.  The ``run_id`` is content-addressed — the
     SHA-256 of the canonical record stream — so ingesting the same
     export twice is a no-op (dedupe by construction), while two *runs*
     of the same corpus (whose span clocks differ) are distinct rows.
+    The row keeps the ``meta`` record's run description and what the
+    span tree says about the whole run: span and loop counts, and the
+    wall seconds of its root spans.
 
 ``spans``
     Every span, with its **self time** precomputed at ingest: the
@@ -24,14 +26,18 @@ become queries:
 
 ``metrics``
     The deterministic counter/gauge/histogram registry, one row per
-    metric (histogram summaries stored as JSON).
+    metric (histogram summaries stored as JSON).  Run-level tallies —
+    cache hits and misses, ``engine.failures``, the ``resilience.*``
+    counters — are read from here, never copied into ``runs``.
 
 ``loops``
-    Per-loop outcomes merged from every source that knows something
-    about the loop: the timing report (wall seconds, per-phase seconds,
-    cache hit/resume flags, failures), the span tree (achieved II, MII,
-    attempts, displacement/forced counts), and the journal (ok/failure
-    records).
+    One row per corpus loop, folded out of the span tree at ingest.
+    The engine's ``loop`` span gives the outcome, II, degradation and
+    failure kind and phase; its direct children the per-phase seconds;
+    its ``schedule`` and ``schedule.attempt`` descendants the MII,
+    attempt count and displacement/forcing tallies; the ``cache.load``
+    and ``journal.replay`` spans whether the loop was a cache hit or
+    resumed from the journal.
 
 ``profile_samples``
     Collapsed call stacks from the sampling profiler
@@ -56,37 +62,26 @@ import json
 import sqlite3
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.obs.schema import (
-    KNOWN_FORMATS,
     parse_jsonl,
     records_from_snapshot,
     validate_records,
-    worker_lanes,
 )
 
-#: Engine timing-report format marker (kept in sync with analysis.engine).
-_TIMING_FORMAT = "repro.engine-timing.v1"
-_JOURNAL_FORMAT = "repro.journal.v1"
-
-_SCHEMA_VERSION = 1
+_SCHEMA_VERSION = 2  # v2: loop rows and run tallies come from the export alone
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS runs (
     run_id      TEXT PRIMARY KEY,
-    seq         INTEGER,
+    seq         INTEGER NOT NULL,
     source      TEXT,
     format      TEXT,
     run_json    TEXT NOT NULL DEFAULT '{}',
     n_spans     INTEGER NOT NULL DEFAULT 0,
     n_loops     INTEGER NOT NULL DEFAULT 0,
-    n_failures  INTEGER NOT NULL DEFAULT 0,
-    wall_seconds REAL,
-    cache_hits  INTEGER,
-    cache_misses INTEGER,
-    resilience_json TEXT,
-    counters_json TEXT
+    wall_seconds REAL
 );
 CREATE TABLE IF NOT EXISTS spans (
     run_id    TEXT NOT NULL,
@@ -115,17 +110,16 @@ CREATE TABLE IF NOT EXISTS loops (
     run_id    TEXT NOT NULL,
     idx       INTEGER NOT NULL,
     name      TEXT,
-    key       TEXT,
-    cache_hit INTEGER,
-    resumed   INTEGER,
-    ok        INTEGER,
-    wall      REAL,
-    seconds_json TEXT,
+    cache_hit INTEGER NOT NULL,
+    resumed   INTEGER NOT NULL,
+    ok        INTEGER NOT NULL,
+    wall      REAL NOT NULL,
+    seconds_json TEXT NOT NULL,
     ii        INTEGER,
     mii       INTEGER,
     attempts  INTEGER,
-    displaced INTEGER,
-    forced    INTEGER,
+    displaced INTEGER NOT NULL,
+    forced    INTEGER NOT NULL,
     degraded  TEXT,
     failure_kind TEXT,
     failure_phase TEXT,
@@ -146,6 +140,19 @@ CREATE TABLE IF NOT EXISTS bench_runs (
 );
 """
 
+#: The spans the engine opens per corpus loop, each labelled with the
+#: loop's ``index``: its evaluation, its cache probe and its journal replay.
+_LOOP_SPANS = ("loop", "cache.load", "journal.replay")
+
+#: ``loop`` span attribute -> ``loops`` column.
+_LOOP_ATTRS = (
+    ("ok", "ok"),
+    ("ii", "ii"),
+    ("degraded", "degraded"),
+    ("kind", "failure_kind"),
+    ("failed_phase", "failure_phase"),
+)
+
 
 def run_id_for_records(records: Sequence[Any]) -> str:
     """Content-addressed run id: SHA-256 of the canonical record stream.
@@ -164,13 +171,19 @@ def run_id_for_records(records: Sequence[Any]) -> str:
     return digest.hexdigest()[:16]
 
 
-def run_id_for_texts(texts: Iterable[str]) -> str:
-    """Content-addressed run id over raw artifact texts (ingest grouping)."""
-    digest = hashlib.sha256()
-    for text in texts:
-        digest.update(text.encode("utf-8", "replace"))
-        digest.update(b"\x00")
-    return digest.hexdigest()[:16]
+def _enclosing_loop(
+    span: Dict[str, Any], by_id: Dict[int, Dict[str, Any]]
+) -> Optional[Dict[str, Any]]:
+    """The nearest ``loop`` span at or above ``span`` (cycle-safe)."""
+    node: Optional[Dict[str, Any]] = span
+    seen = set()
+    while node is not None and node["span_id"] not in seen:
+        if node["name"] == "loop":
+            return node
+        seen.add(node["span_id"])
+        parent = node.get("parent_id")
+        node = by_id.get(parent) if parent is not None else None
+    return None
 
 
 @dataclass(frozen=True)
@@ -236,23 +249,18 @@ class RunStore:
         ).fetchone()
         return row is not None
 
+    def _run_record(self, row: sqlite3.Row) -> Dict[str, Any]:
+        """A ``runs`` row as a dict, with its failure count from metrics."""
+        record = dict(row)
+        record["run"] = json.loads(record.pop("run_json"))
+        failures = self.counters(record["run_id"]).get("engine.failures")
+        record["n_failures"] = int(failures) if failures is not None else None
+        return record
+
     def runs(self) -> List[Dict[str, Any]]:
         """Every run, oldest first, as plain dicts."""
-        rows = self._db.execute(
-            "SELECT * FROM runs ORDER BY seq"
-        ).fetchall()
-        out = []
-        for row in rows:
-            record = dict(row)
-            record["run"] = json.loads(record.pop("run_json") or "{}")
-            record["resilience"] = json.loads(
-                record.pop("resilience_json") or "null"
-            )
-            record["counters"] = json.loads(
-                record.pop("counters_json") or "null"
-            )
-            out.append(record)
-        return out
+        rows = self._db.execute("SELECT * FROM runs ORDER BY seq").fetchall()
+        return [self._run_record(row) for row in rows]
 
     def resolve_run(self, ref: Optional[str] = None) -> str:
         """Resolve a run reference to a run id.
@@ -278,35 +286,15 @@ class RunStore:
             raise StoreError(f"run reference {ref!r} is ambiguous: {matches}")
         return rows[0]["run_id"]
 
-    def _create_run(self, run_id: str, source: str, fmt: str) -> None:
-        seq = self._db.execute(
-            "SELECT COALESCE(MAX(seq), 0) + 1 FROM runs"
-        ).fetchone()[0]
-        self._db.execute(
-            "INSERT INTO runs (run_id, seq, source, format) VALUES (?,?,?,?)",
-            (run_id, seq, source, fmt),
-        )
-
-    def _ensure_run(self, run_id: str, source: str, fmt: str) -> bool:
-        """True when the run row was just created (False: already there)."""
-        if self.has_run(run_id):
-            return False
-        self._create_run(run_id, source, fmt)
-        return True
-
     # -- ingest: obs record streams -------------------------------------
 
     def ingest_records(
-        self,
-        records: Sequence[Dict[str, Any]],
-        run_id: Optional[str] = None,
-        source: str = "",
+        self, records: Sequence[Dict[str, Any]], source: str = ""
     ) -> IngestResult:
-        """Ingest a validated ``repro.obs`` record stream as one run.
+        """Ingest a validated ``repro.obs.v2`` record stream as one run.
 
-        Re-ingesting a stream whose content hash (or explicit
-        ``run_id``) is already present is a no-op — the dedupe the
-        determinism tests assert.
+        Re-ingesting a stream whose content hash is already present is a
+        no-op — the dedupe the determinism tests assert.
         """
         errors = validate_records(records)
         if errors:
@@ -314,78 +302,59 @@ class RunStore:
                 f"{source or 'records'}: not a valid obs export: "
                 + "; ".join(errors[:5])
             )
-        run_id = run_id or run_id_for_records(records)
+        run_id = run_id_for_records(records)
         if self.has_run(run_id):
             return IngestResult(run_id, False, "obs", source)
-        meta = records[0]
-        fmt = meta.get("format", KNOWN_FORMATS[0])
-        self._create_run(run_id, source, fmt)
-        self._db.execute(
-            "UPDATE runs SET run_json = ? WHERE run_id = ?",
-            (json.dumps(meta.get("run", {}), sort_keys=True), run_id),
-        )
-        spans = [r for r in records if r.get("type") == "span"]
-        self._insert_spans(run_id, spans)
-        for record in records:
-            if record.get("type") != "metric":
-                continue
-            value = record.get("value")
-            if isinstance(value, dict):
+        spans = [r for r in records if r["type"] == "span"]
+        by_id = {span["span_id"]: span for span in spans}
+        owners = {s["span_id"]: _enclosing_loop(s, by_id) for s in spans}
+        with self._db:  # one transaction: the whole run or nothing
+            self._insert_spans(run_id, spans, owners)
+            n_loops = self._insert_loops(run_id, spans, owners)
+            seq = self._db.execute(
+                "SELECT COALESCE(MAX(seq), 0) + 1 FROM runs"
+            ).fetchone()[0]
+            self._db.execute(
+                "INSERT INTO runs VALUES (?,?,?,?,?,?,?,?)",
+                (
+                    run_id,
+                    seq,
+                    source,
+                    records[0]["format"],
+                    json.dumps(records[0]["run"], sort_keys=True),
+                    len(spans),
+                    n_loops,
+                    sum(s["dur"] for s in spans if s.get("parent_id") is None),
+                ),
+            )
+            for record in records:
+                if record["type"] != "metric":
+                    continue
+                value = record["value"]
+                summary = isinstance(value, dict)  # a histogram
                 self._db.execute(
-                    "INSERT OR REPLACE INTO metrics "
-                    "(run_id, kind, name, value, value_json) "
-                    "VALUES (?,?,?,?,?)",
+                    "INSERT OR REPLACE INTO metrics VALUES (?,?,?,?,?)",
                     (
                         run_id,
                         record["kind"],
                         record["name"],
-                        None,
-                        json.dumps(value, sort_keys=True),
+                        None if summary else value,
+                        json.dumps(value, sort_keys=True) if summary else None,
                     ),
                 )
-            else:
-                self._db.execute(
-                    "INSERT OR REPLACE INTO metrics "
-                    "(run_id, kind, name, value, value_json) "
-                    "VALUES (?,?,?,?,?)",
-                    (run_id, record["kind"], record["name"], value, None),
-                )
-        self._derive_loops_from_spans(run_id, spans)
-        self._db.execute(
-            "UPDATE runs SET n_spans = ? WHERE run_id = ?",
-            (len(spans), run_id),
-        )
-        self._db.commit()
         return IngestResult(run_id, True, "obs", source)
 
-    def _insert_spans(
-        self, run_id: str, spans: Sequence[Dict[str, Any]]
-    ) -> None:
-        """Insert spans with derived self time, lane tid and owning loop."""
-        lanes = worker_lanes(spans)
+    def _insert_spans(self, run_id: str, spans, owners) -> None:
+        """Insert spans with derived self time and owning loop."""
         child_dur: Dict[Any, float] = {}
         for span in spans:
             parent = span.get("parent_id")
             if parent is not None:
                 child_dur[parent] = child_dur.get(parent, 0.0) + span["dur"]
-        by_id = {span["span_id"]: span for span in spans}
-
-        def owning_loop(span: Dict[str, Any]) -> Optional[str]:
-            seen = set()
-            node: Optional[Dict[str, Any]] = span
-            while node is not None and node["span_id"] not in seen:
-                seen.add(node["span_id"])
-                if node.get("name") == "loop":
-                    return node.get("attrs", {}).get("loop")
-                parent = node.get("parent_id")
-                node = by_id.get(parent) if parent is not None else None
-            return None
-
         rows = []
         for span in spans:
-            self_dur = max(
-                0.0, span["dur"] - child_dur.get(span["span_id"], 0.0)
-            )
+            owner = owners[span["span_id"]]
+            children = child_dur.get(span["span_id"], 0.0)
             rows.append(
                 (
                     run_id,
@@ -394,225 +363,84 @@ class RunStore:
                     span["name"],
                     span["start"],
                     span["dur"],
-                    self_dur,
-                    span.get("pid", 0),
-                    span.get("tid", lanes.get(span.get("pid", 0), 0)),
-                    owning_loop(span),
-                    json.dumps(span.get("attrs", {}), sort_keys=True),
+                    max(0.0, span["dur"] - children),
+                    span["pid"],
+                    span["tid"],
+                    owner["attrs"].get("loop") if owner is not None else None,
+                    json.dumps(span["attrs"], sort_keys=True),
                 )
             )
         self._db.executemany(
-            "INSERT OR REPLACE INTO spans VALUES (?,?,?,?,?,?,?,?,?,?,?)",
-            rows,
+            "INSERT INTO spans VALUES (?,?,?,?,?,?,?,?,?,?,?)", rows
         )
 
-    def _derive_loops_from_spans(
-        self, run_id: str, spans: Sequence[Dict[str, Any]]
-    ) -> None:
-        """Fold per-loop attribution out of the span tree.
+    def _insert_loops(self, run_id: str, spans, owners) -> int:
+        """Fold one ``loops`` row per loop index out of the span tree.
 
-        The ``loop`` span carries the loop's identity and outcome; its
-        ``schedule`` descendant the achieved II/MII/attempt count; the
-        ``schedule.attempt`` descendants the displacement and forcing
-        tallies.  Retried loops keep the *last* attempt's outcome (the
-        one that stuck) but accumulate attempt-level tallies across the
-        whole span set, matching how the engine charges work.
+        A retried loop keeps the outcome of its last ``loop`` span (the
+        one that stuck); wall seconds, phase seconds and the attempt
+        tallies accumulate over every span the loop owns.  Returns the
+        number of rows written.
         """
-        by_id = {span["span_id"]: span for span in spans}
+        rows: Dict[int, Dict[str, Any]] = {}
 
-        def loop_ancestor(span: Dict[str, Any]) -> Optional[Dict[str, Any]]:
-            node, seen = span, set()
-            while node is not None and node["span_id"] not in seen:
-                seen.add(node["span_id"])
-                if node.get("name") == "loop":
-                    return node
-                parent = node.get("parent_id")
-                node = by_id.get(parent) if parent is not None else None
-            return None
-
-        per_loop: Dict[str, Dict[str, Any]] = {}
-        for span in spans:
-            if span.get("name") != "loop":
-                continue
-            attrs = span.get("attrs", {})
-            name = attrs.get("loop")
-            if name is None:
-                continue
-            entry = per_loop.setdefault(name, {"displaced": 0, "forced": 0})
-            entry["name"] = name
-            entry["idx"] = attrs.get("index", entry.get("idx"))
-            entry["wall"] = entry.get("wall", 0.0) + span["dur"]
-            if "ok" in attrs:
-                entry["ok"] = bool(attrs["ok"])
-            if "ii" in attrs:
-                entry["ii"] = attrs["ii"]
-            if "degraded" in attrs:
-                entry["degraded"] = attrs["degraded"]
-            if "failed_phase" in attrs:
-                entry["failure_phase"] = attrs["failed_phase"]
-        for span in spans:
-            owner = loop_ancestor(span)
-            if owner is None:
-                continue
-            name = owner.get("attrs", {}).get("loop")
-            entry = per_loop.get(name)
-            if entry is None:
-                continue
-            attrs = span.get("attrs", {})
-            if span.get("name") == "schedule":
-                if "mii" in attrs:
-                    entry["mii"] = attrs["mii"]
-                if "ii" in attrs:
-                    entry.setdefault("ii", attrs["ii"])
-                if "attempts" in attrs:
-                    entry["attempts"] = max(
-                        entry.get("attempts", 0), attrs["attempts"]
-                    )
-            elif span.get("name") == "schedule.attempt":
-                entry["displaced"] += attrs.get("displaced", 0)
-                entry["forced"] += attrs.get("forced", 0)
-        fallback = max(
-            (e.get("idx") for e in per_loop.values()
-             if isinstance(e.get("idx"), int)),
-            default=-1,
-        )
-        for entry in per_loop.values():
-            if not isinstance(entry.get("idx"), int):
-                fallback += 1
-                entry["idx"] = fallback
-            self.upsert_loop(run_id, entry["idx"], **{
-                k: v for k, v in entry.items() if k != "idx"
+        def row_of(span: Optional[Dict[str, Any]]):
+            index = span["attrs"].get("index") if span is not None else None
+            if not isinstance(index, int):
+                return None
+            return rows.setdefault(index, {
+                "name": span["attrs"].get("loop"), "cache_hit": False,
+                "resumed": False, "ok": None, "wall": 0.0, "seconds": {},
+                "ii": None, "mii": None, "attempts": None, "displaced": 0,
+                "forced": 0, "degraded": None, "failure_kind": None,
+                "failure_phase": None,
             })
 
-    def upsert_loop(self, run_id: str, idx: int, **fields) -> None:
-        """Merge non-None fields into the (run, idx) loop row."""
-        allowed = (
-            "name", "key", "cache_hit", "resumed", "ok", "wall",
-            "seconds_json", "ii", "mii", "attempts", "displaced",
-            "forced", "degraded", "failure_kind", "failure_phase",
-        )
-        self._db.execute(
-            "INSERT OR IGNORE INTO loops (run_id, idx) VALUES (?, ?)",
-            (run_id, idx),
-        )
-        for field in allowed:
-            if field in fields and fields[field] is not None:
-                value = fields[field]
-                if isinstance(value, bool):
-                    value = int(value)
-                self._db.execute(
-                    f"UPDATE loops SET {field} = ? WHERE run_id = ? AND idx = ?",
-                    (value, run_id, idx),
-                )
-        self._db.execute(
-            "UPDATE runs SET n_loops = "
-            "(SELECT COUNT(*) FROM loops WHERE run_id = ?) WHERE run_id = ?",
-            (run_id, run_id),
-        )
-
-    # -- ingest: engine timing reports ----------------------------------
-
-    def ingest_timing_report(
-        self,
-        report: Dict[str, Any],
-        run_id: Optional[str] = None,
-        source: str = "",
-    ) -> IngestResult:
-        """Ingest a ``repro.engine-timing.v1`` document.
-
-        Without an explicit ``run_id`` the report is content-addressed
-        on its own; pass the run id of the matching obs export to merge
-        both artifacts into one run (what ``corpus --obs-db`` does).
-        """
-        if report.get("format") != _TIMING_FORMAT:
-            raise StoreError(
-                f"{source or 'report'}: not an engine timing report "
-                f"(format {report.get('format')!r})"
+        for span in spans:
+            name, attrs = span["name"], span["attrs"]
+            if name in _LOOP_SPANS:
+                row = row_of(span)
+                if row is None:
+                    continue
+                row["wall"] += span["dur"]
+                if name == "loop":
+                    for attr, column in _LOOP_ATTRS:
+                        if attr in attrs:
+                            row[column] = attrs[attr]
+                else:
+                    column = "cache_hit" if name == "cache.load" else "resumed"
+                    row[column] = row[column] or bool(attrs.get("hit"))
+                    seconds = row["seconds"]
+                    seconds[name] = seconds.get(name, 0.0) + span["dur"]
+                continue
+            owner = owners[span["span_id"]]
+            row = row_of(owner)
+            if row is None:
+                continue
+            if span.get("parent_id") == owner["span_id"]:
+                seconds = row["seconds"]
+                seconds[name] = seconds.get(name, 0.0) + span["dur"]
+            if name == "schedule":
+                row["mii"] = attrs.get("mii", row["mii"])
+                if "attempts" in attrs:
+                    row["attempts"] = max(
+                        row["attempts"] or 0, attrs["attempts"]
+                    )
+            elif name == "schedule.attempt":
+                row["displaced"] += attrs.get("displaced", 0)
+                row["forced"] += attrs.get("forced", 0)
+        for index, row in rows.items():
+            if row["ok"] is None:  # served from the cache or the journal
+                row["ok"] = row["cache_hit"] or row["resumed"]
+            row["seconds"] = json.dumps(row["seconds"], sort_keys=True)
+            self._db.execute(
+                "INSERT INTO loops VALUES (:run_id, :idx, :name, :cache_hit, "
+                ":resumed, :ok, :wall, :seconds, :ii, :mii, :attempts, "
+                ":displaced, :forced, :degraded, :failure_kind, "
+                ":failure_phase)",
+                {"run_id": run_id, "idx": index, **row},
             )
-        run_id = run_id or run_id_for_records([report])
-        created = self._ensure_run(run_id, source, _TIMING_FORMAT)
-        merged_run = {
-            "machine": report.get("machine"),
-            "jobs": report.get("jobs"),
-        }
-        row = self._db.execute(
-            "SELECT run_json FROM runs WHERE run_id = ?", (run_id,)
-        ).fetchone()
-        existing = json.loads(row["run_json"] or "{}")
-        existing.update({k: v for k, v in merged_run.items() if v is not None})
-        self._db.execute(
-            "UPDATE runs SET run_json = ?, wall_seconds = ?, "
-            "cache_hits = ?, cache_misses = ?, resilience_json = ?, "
-            "counters_json = ?, n_failures = ? WHERE run_id = ?",
-            (
-                json.dumps(existing, sort_keys=True),
-                report.get("wall_seconds"),
-                (report.get("cache") or {}).get("hits"),
-                (report.get("cache") or {}).get("misses"),
-                json.dumps(report.get("resilience") or {}, sort_keys=True),
-                json.dumps(report.get("counters") or {}, sort_keys=True),
-                len(report.get("failures") or ()),
-                run_id,
-            ),
-        )
-        for loop in report.get("loops", ()):
-            seconds = loop.get("seconds") or {}
-            self.upsert_loop(
-                run_id,
-                loop["index"],
-                name=loop.get("loop"),
-                key=loop.get("key"),
-                cache_hit=loop.get("cache_hit"),
-                resumed=loop.get("resumed"),
-                wall=seconds.get("total"),
-                seconds_json=json.dumps(seconds, sort_keys=True),
-            )
-        for failure in report.get("failures", ()):
-            self.upsert_loop(
-                run_id,
-                failure["index"],
-                name=failure.get("loop"),
-                ok=False,
-                failure_kind=failure.get("kind"),
-                failure_phase=failure.get("phase"),
-            )
-        self._db.commit()
-        return IngestResult(run_id, created, "timing", source)
-
-    # -- ingest: journals -----------------------------------------------
-
-    def ingest_journal(
-        self,
-        path,
-        run_id: Optional[str] = None,
-        source: str = "",
-    ) -> IngestResult:
-        """Ingest a ``repro.journal.v1`` checkpoint journal's outcomes."""
-        path = Path(path)
-        text = path.read_text()
-        records, _ = parse_jsonl(text)
-        journal = [
-            r
-            for r in records
-            if isinstance(r, dict) and r.get("format") == _JOURNAL_FORMAT
-        ]
-        if not journal:
-            raise StoreError(f"{path}: no repro.journal.v1 records")
-        run_id = run_id or run_id_for_texts([text])
-        created = self._ensure_run(run_id, source or str(path), _JOURNAL_FORMAT)
-        for record in journal:
-            failure = record.get("failure") or {}
-            self.upsert_loop(
-                run_id,
-                record["index"],
-                name=record.get("loop"),
-                key=record.get("key"),
-                ok=bool(record.get("ok")),
-                failure_kind=failure.get("kind"),
-                failure_phase=failure.get("phase"),
-            )
-        self._db.commit()
-        return IngestResult(run_id, created, "journal", source or str(path))
+        return len(rows)
 
     # -- ingest: bench trajectories -------------------------------------
 
@@ -678,67 +506,49 @@ class RunStore:
         ).fetchall()
         return {row["stack"]: row["count"] for row in rows}
 
-    # -- ingest: anything (file sniffing) -------------------------------
+    # -- ingest: files ---------------------------------------------------
 
-    def ingest_path(
-        self, path, run_id: Optional[str] = None
-    ) -> IngestResult:
-        """Ingest one artifact file, sniffing its format.
+    def ingest_path(self, path) -> IngestResult:
+        """Ingest one file: a ``repro.obs.v2`` export or a bench trajectory.
 
-        Recognizes obs JSONL exports, engine timing reports, journals
-        and bench trajectories; raises :class:`StoreError` otherwise.
+        Raises :class:`StoreError` for anything else.
         """
         path = Path(path)
         text = path.read_text()
         stripped = text.lstrip()
         if stripped.startswith("{") and "\n{" not in stripped.rstrip():
-            # A single JSON document: timing report or bench trajectory.
+            # A single JSON document: a bench trajectory or nothing.
             try:
                 data = json.loads(text)
             except ValueError as exc:
                 raise StoreError(f"{path}: not JSON ({exc})") from None
-            if isinstance(data, dict):
-                if data.get("format") == _TIMING_FORMAT:
-                    return self.ingest_timing_report(
-                        data, run_id=run_id, source=str(path)
-                    )
-                if data.get("format") == _JOURNAL_FORMAT:
-                    return self.ingest_journal(path, run_id=run_id)
-                if isinstance(data.get("runs"), list):
-                    added = self.ingest_bench_trajectory(path)
-                    return IngestResult(
-                        f"bench:{path.stem}", added > 0, "bench", str(path)
-                    )
+            if isinstance(data, dict) and isinstance(data.get("runs"), list):
+                added = self.ingest_bench_trajectory(path)
+                return IngestResult(
+                    f"bench:{path.stem}", added > 0, "bench", str(path)
+                )
             raise StoreError(f"{path}: unrecognized JSON document")
         records, errors = parse_jsonl(text)
-        if records and all(
-            isinstance(r, dict) and r.get("format") == _JOURNAL_FORMAT
-            for r in records
-        ):
-            return self.ingest_journal(path, run_id=run_id)
         if errors:
             raise StoreError(f"{path}: {errors[0]}")
-        return self.ingest_records(records, run_id=run_id, source=str(path))
+        return self.ingest_records(records, source=str(path))
 
     def ingest_run_artifacts(
         self,
         snapshot: Dict[str, Any],
         run: Optional[Dict[str, Any]] = None,
-        timing_report: Optional[Dict[str, Any]] = None,
         profile: Optional[Dict[str, int]] = None,
         source: str = "",
     ) -> IngestResult:
-        """Record one live engine run (snapshot + report + profile).
+        """Record one live engine run (its obs snapshot and profile).
 
-        This is the ``corpus --obs-db`` entry point: everything the run
-        produced lands under a single content-addressed run id.
+        This is the ``corpus --obs-db`` entry point.  The snapshot is
+        flattened into exactly the records ``--obs-out`` writes for the
+        same ``run`` description, so ingesting that file afterwards is a
+        dedupe, not a second run.
         """
         records = records_from_snapshot(snapshot, run=run)
         result = self.ingest_records(records, source=source)
-        if timing_report is not None:
-            self.ingest_timing_report(
-                timing_report, run_id=result.run_id, source=source
-            )
         if profile:
             self.ingest_profile(result.run_id, profile)
         return result
@@ -763,13 +573,7 @@ class RunStore:
         ).fetchone()
         if row is None:
             raise StoreError(f"no run {run_id!r}")
-        record = dict(row)
-        record["run"] = json.loads(record.pop("run_json") or "{}")
-        record["resilience"] = json.loads(
-            record.pop("resilience_json") or "null"
-        )
-        record["counters"] = json.loads(record.pop("counters_json") or "null")
-        return record
+        return self._run_record(row)
 
     def metric_rows(self, run_id: str) -> List[sqlite3.Row]:
         return self._db.execute(

@@ -151,11 +151,10 @@ class TestObservatoryDeterminism:
     def _record(self, store, machine, corpus, jobs):
         from repro.obs.store import RunStore  # noqa: F401  (type context)
 
-        obs, result = _traced_run(machine, corpus, jobs=jobs)
+        obs, _ = _traced_run(machine, corpus, jobs=jobs)
         return store.ingest_run_artifacts(
             obs.to_dict(),
             run={"command": "corpus", "jobs": jobs},
-            timing_report=result.timing_report(),
             source="test",
         )
 
@@ -163,16 +162,11 @@ class TestObservatoryDeterminism:
     def test_double_ingest_dedupes_by_run_id(self, machine, corpus, jobs):
         from repro.obs.store import RunStore
 
-        obs, result = _traced_run(machine, corpus, jobs=jobs)
+        obs, _ = _traced_run(machine, corpus, jobs=jobs)
         snapshot = obs.to_dict()
-        report = result.timing_report()
         with RunStore(":memory:") as store:
-            first = store.ingest_run_artifacts(
-                snapshot, run={"jobs": jobs}, timing_report=report
-            )
-            again = store.ingest_run_artifacts(
-                snapshot, run={"jobs": jobs}, timing_report=report
-            )
+            first = store.ingest_run_artifacts(snapshot, run={"jobs": jobs})
+            again = store.ingest_run_artifacts(snapshot, run={"jobs": jobs})
             assert first.created and not again.created
             assert first.run_id == again.run_id
             assert len(store.runs()) == 1

@@ -5,6 +5,7 @@ from __future__ import annotations
 import tracemalloc
 
 import pytest
+from hypothesis import settings
 
 try:
     import resource
@@ -19,6 +20,13 @@ from repro.machine import (
     superscalar_machine,
     two_alu_machine,
 )
+
+#: Tier-1 draws the same examples on every run and replays no stored
+#: counterexamples, so a change is judged only on its own merits.  The
+#: CI fuzz job explores at random instead: ``--hypothesis-profile=fuzz``.
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("fuzz", derandomize=False, print_blob=True)
+settings.load_profile("tier1")
 
 #: Address-space cap for the whole test session (``RLIMIT_AS``).  A kernel
 #: whose memory has no bound then fails as a ``MemoryError``, with

@@ -1,5 +1,7 @@
 """Mask compilation of reservation tables and the per-(machine, II) cache."""
 
+import pickle
+
 import pytest
 
 from repro.machine import ReservationTable, cydra5
@@ -87,6 +89,16 @@ class TestMaskSetCache:
         machine = cydra5()
         mask_set = machine.compiled_masks(5)
         assert _MASK_SET_CACHE[(machine.content_key, 5)] is mask_set
+
+    def test_pickled_size_does_not_depend_on_compiled_iis(self):
+        """Every engine task pickles the machine; compiled masks must
+        stay in the process-wide cache, not ride along."""
+        machine = cydra5()
+        machine.compiled_masks(1)  # memoizes the content key, too
+        one = len(pickle.dumps(machine))
+        for ii in range(2, 41):
+            machine.compiled_masks(ii)
+        assert len(pickle.dumps(machine)) == one
 
     def test_rows_follow_machine_declaration_order(self):
         machine = cydra5()

@@ -16,12 +16,14 @@ from repro.obs.schema import records_from_snapshot
 from repro.obs.store import RunStore
 
 
-def _snapshot(slow_loop=None, extra_failure=False):
+def _snapshot(slow_loop=None, extra_failure=False, cache=(0, 2)):
     """A traced two-loop run; optionally inflate one loop's wall clock.
 
     The inflation widens the ``loop`` span without touching the nested
     phase spans — exactly the signature of the ``slow@i`` fault the
-    diff's per-loop attribution has to catch.
+    diff's per-loop attribution has to catch.  ``extra_failure`` fails
+    one loop the way the engine records it (its span names the failure
+    kind); ``cache`` is the run's (hits, misses) counter pair.
     """
     obs = ObsContext()
     with obs.span("corpus.evaluate", loops=2):
@@ -35,9 +37,12 @@ def _snapshot(slow_loop=None, extra_failure=False):
                 if extra_failure and name == "fir":
                     loop.set("ok", False)
                     loop.set("failed_phase", "codegen")
+                    loop.set("kind", "deterministic")
                 else:
                     loop.set("ok", True)
     obs.counter("ops_scheduled").inc(50)
+    obs.counter("engine.cache.hits").inc(cache[0])
+    obs.counter("engine.cache.misses").inc(cache[1])
     snapshot = obs.to_dict()
     if slow_loop is not None:
         for span in snapshot["spans"]:
@@ -48,19 +53,8 @@ def _snapshot(slow_loop=None, extra_failure=False):
     return snapshot
 
 
-def _ingest(store, snapshot, **timing_overrides):
-    run_id = store.ingest_records(records_from_snapshot(snapshot)).run_id
-    if timing_overrides:
-        report = {
-            "format": "repro.engine-timing.v1",
-            "machine": "m", "jobs": 1, "n_loops": 2, "n_failures": 0,
-            "wall_seconds": 1.0, "phase_seconds": {},
-            "cache": {"enabled": False, "hits": 0, "misses": 0},
-            "counters": {}, "resilience": {}, "loops": [], "failures": [],
-        }
-        report.update(timing_overrides)
-        store.ingest_timing_report(report, run_id=run_id)
-    return run_id
+def _ingest(store, snapshot):
+    return store.ingest_records(records_from_snapshot(snapshot)).run_id
 
 
 @pytest.fixture()
@@ -102,24 +96,6 @@ class TestPhaseProfile:
         profile = phase_profile(store, run_id)
         self_totals = [stat.self_total for stat in profile]
         assert self_totals == sorted(self_totals, reverse=True)
-
-    def test_falls_back_to_timing_phases_without_spans(self, store):
-        # A timing-only run has no spans: the profile falls back to the
-        # report's per-loop phase seconds.
-        bare = store.ingest_timing_report({
-            "format": "repro.engine-timing.v1",
-            "machine": "m", "jobs": 1, "n_loops": 1, "n_failures": 0,
-            "wall_seconds": 2.0, "phase_seconds": {},
-            "cache": {"enabled": False, "hits": 0, "misses": 0},
-            "counters": {}, "resilience": {},
-            "loops": [{"index": 0, "loop": "dot", "key": "k",
-                       "cache_hit": False, "resumed": False,
-                       "seconds": {"scheduling": 1.5, "mindist": 0.2}}],
-            "failures": [],
-        })
-        profile = phase_profile(store, bare.run_id)
-        names = [stat.name for stat in profile]
-        assert names[0] == "scheduling"
 
 
 class TestTopLoops:
@@ -179,14 +155,8 @@ class TestDiffRuns:
         assert any(delta.name == "loop" for delta in diff.improvements)
 
     def test_new_failure_kind_always_regresses(self, store):
-        base = _ingest(store, _snapshot(), failures=[])
-        other = _ingest(
-            store, _snapshot(extra_failure=True),
-            n_failures=1,
-            failures=[{"index": 1, "loop": "fir", "phase": "codegen",
-                       "error_type": "CodegenError", "message": "x",
-                       "kind": "deterministic", "attempts": 1, "detail": {}}],
-        )
+        base = _ingest(store, _snapshot())
+        other = _ingest(store, _snapshot(extra_failure=True))
         diff = diff_runs(store, base, other)
         assert not diff.clean
         assert "deterministic" in diff.new_failure_kinds
@@ -195,18 +165,15 @@ class TestDiffRuns:
         assert reverse.clean  # vanished kinds never regress
 
     def test_cache_and_counter_deltas_are_informational(self, store):
-        a = _ingest(
-            store, _snapshot(),
-            cache={"enabled": True, "hits": 0, "misses": 10},
-        )
-        b = _ingest(
-            store, _snapshot(),
-            cache={"enabled": True, "hits": 8, "misses": 2},
-        )
+        a = _ingest(store, _snapshot(cache=(0, 10)))
+        b = _ingest(store, _snapshot(cache=(8, 2)))
         diff = diff_runs(store, a, b)
         assert diff.clean
         assert diff.cache_hit_rate["base"] == pytest.approx(0.0)
         assert diff.cache_hit_rate["other"] == pytest.approx(0.8)
+        assert diff.counter_deltas == {
+            "engine.cache.hits": 8, "engine.cache.misses": -8,
+        }
 
     def test_noise_floor_suppresses_tiny_deltas(self, store):
         base = _ingest(store, _snapshot())

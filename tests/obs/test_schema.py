@@ -6,7 +6,6 @@ from repro.obs import ObsContext
 from repro.obs.check import check_paths, main
 from repro.obs.schema import (
     FORMAT,
-    FORMAT_V1,
     content_record_count,
     records_from_snapshot,
     validate_jsonl,
@@ -62,11 +61,6 @@ class TestValidateRecord:
         record = self._span()
         del record["tid"]
         assert any("tid" in e for e in validate_record(record))
-
-    def test_v1_span_needs_no_tid(self):
-        record = self._span(format=FORMAT_V1)
-        del record["tid"]
-        assert validate_record(record) == []
 
     def test_wrong_format_marker(self):
         errors = validate_record(self._span(format="repro.obs.v0"))
@@ -148,17 +142,9 @@ class TestValidateRecords:
         records = records_from_snapshot(_snapshot())
         for record in records:
             if record["type"] == "metric":
-                record["format"] = FORMAT_V1
-        assert any(
-            "mixed format markers" in e for e in validate_records(records)
-        )
-
-    def test_pure_v1_stream_still_validates(self):
-        records = records_from_snapshot(_snapshot())
-        for record in records:
-            record["format"] = FORMAT_V1
-            record.pop("tid", None)
-        assert validate_records(records) == []
+                record["format"] = "repro.obs.v1"
+        errors = validate_records(records)
+        assert errors and all("repro.obs.v1" in e for e in errors)
 
 
 class TestWorkerLanes:

@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.obs import ObsContext
-from repro.obs.schema import FORMAT, FORMAT_V1, records_from_snapshot
+from repro.obs.schema import FORMAT, records_from_snapshot
 from repro.obs.store import (
     RunStore,
     StoreError,
@@ -29,39 +29,32 @@ def _snapshot():
         with obs.span("loop", loop="fir", index=1) as loop:
             loop.set("ok", False)
             loop.set("failed_phase", "scheduling")
+            loop.set("kind", "deterministic")
     obs.counter("engine.loops").inc(2)
+    obs.counter("engine.failures").inc(1)
     obs.histogram("loop.ops").observe(12)
     return obs.to_dict()
 
 
-def _timing_report(**overrides):
-    report = {
-        "format": "repro.engine-timing.v1",
-        "machine": "cydra5",
-        "jobs": 2,
-        "cache": {"enabled": True, "dir": None, "hits": 3, "misses": 5},
-        "n_loops": 2,
-        "n_failures": 1,
-        "wall_seconds": 1.25,
-        "phase_seconds": {"scheduling": 0.9, "mindist": 0.2},
-        "counters": {"ops_scheduled": 100},
-        "metrics": None,
-        "resilience": {"retries": 1, "degraded": 0},
-        "loops": [
-            {"index": 0, "loop": "dot", "key": "k0", "cache_hit": False,
-             "seconds": {"scheduling": 0.7, "mindist": 0.1, "total": 0.8},
-             "resumed": False},
-            {"index": 1, "loop": "fir", "key": "k1", "cache_hit": True,
-             "seconds": {"load": 0.01, "total": 0.01}, "resumed": False},
-        ],
-        "failures": [
-            {"index": 1, "loop": "fir", "phase": "scheduling",
-             "error_type": "SchedulingFailure", "message": "budget",
-             "kind": "deterministic", "attempts": 1, "detail": {}},
-        ],
-    }
-    report.update(overrides)
-    return report
+def _served_snapshot():
+    """A run whose loops never reached a worker: cache hit, cache miss
+    whose evaluation failed in a dead worker, and a journal replay."""
+    obs = ObsContext()
+    with obs.span("corpus.evaluate", loops=3):
+        with obs.span("cache.load", loop="dot", index=0) as load:
+            load.set("hit", True)
+        with obs.span("cache.load", loop="fir", index=1) as load:
+            load.set("hit", False)
+        with obs.span("journal.replay", loop="iir", index=2) as replay:
+            replay.set("hit", True)
+        with obs.span(
+            "loop", loop="fir", index=1, ok=False, failed_phase="pool",
+            kind="transient",
+        ):
+            pass
+    obs.counter("engine.cache.hits").inc(1)
+    obs.counter("engine.cache.misses").inc(1)
+    return obs.to_dict()
 
 
 @pytest.fixture()
@@ -88,15 +81,6 @@ class TestIngestRecords:
     def test_invalid_stream_is_rejected(self, store):
         with pytest.raises(StoreError, match="not a valid obs export"):
             store.ingest_records([{"format": "nope"}])
-
-    def test_v1_records_still_ingest(self, store):
-        records = records_from_snapshot(_snapshot())
-        for record in records:
-            record["format"] = FORMAT_V1
-            record.pop("tid", None)
-        result = store.ingest_records(records)
-        assert result.created
-        assert store.run_row(result.run_id)["format"] == FORMAT_V1
 
     def test_run_id_is_stable_across_serialization(self):
         records = records_from_snapshot(_snapshot())
@@ -156,23 +140,56 @@ class TestLoopAttribution:
         assert dot["ok"] == 1
         fir = loops["fir"]
         assert fir["ok"] == 0 and fir["failure_phase"] == "scheduling"
+        assert fir["failure_kind"] == "deterministic"
+        assert dot["failure_kind"] is None
 
-    def test_timing_report_merges_into_same_run(self, store):
+    def test_phase_seconds_come_from_the_loop_span_children(self, store):
         result = store.ingest_records(records_from_snapshot(_snapshot()))
-        merged = store.ingest_timing_report(
-            _timing_report(), run_id=result.run_id
+        dot = next(
+            row for row in store.loop_rows(result.run_id)
+            if row["name"] == "dot"
         )
-        assert merged.run_id == result.run_id
-        assert len(store.runs()) == 1
+        spans = [
+            row for row in store.span_rows(result.run_id)
+            if row["loop"] == "dot"
+        ]
+        by_name = {row["name"]: row for row in spans}
+        assert json.loads(dot["seconds_json"]) == {
+            "schedule": by_name["schedule"]["dur"]
+        }
+        assert dot["wall"] == by_name["loop"]["dur"]
+
+    def test_hits_and_replays_become_loop_rows(self, store):
+        result = store.ingest_records(
+            records_from_snapshot(_served_snapshot())
+        )
+        loops = {
+            row["idx"]: (row["cache_hit"], row["resumed"], row["ok"],
+                         row["failure_kind"], row["failure_phase"])
+            for row in store.loop_rows(result.run_id)
+        }
+        assert loops == {
+            0: (1, 0, 1, None, None),
+            1: (0, 0, 0, "transient", "pool"),
+            2: (0, 1, 1, None, None),
+        }
+        seconds = [
+            set(json.loads(row["seconds_json"]))
+            for row in store.loop_rows(result.run_id)
+        ]
+        assert seconds == [{"cache.load"}, {"cache.load"}, {"journal.replay"}]
+
+    def test_run_tallies_come_from_spans_and_metrics(self, store):
+        result = store.ingest_records(records_from_snapshot(_snapshot()))
         run = store.run_row(result.run_id)
-        assert run["wall_seconds"] == 1.25
-        assert run["cache_hits"] == 3 and run["cache_misses"] == 5
-        assert run["resilience"]["retries"] == 1
-        loops = {row["name"]: row for row in store.loop_rows(result.run_id)}
-        # Span-derived fields and report-derived fields coexist per loop.
-        assert loops["dot"]["ii"] == 3
-        assert loops["dot"]["key"] == "k0"
-        assert loops["fir"]["failure_kind"] == "deterministic"
+        root = next(
+            row for row in store.span_rows(result.run_id)
+            if row["name"] == "corpus.evaluate"
+        )
+        assert run["wall_seconds"] == root["dur"]
+        assert run["n_loops"] == 2
+        assert run["n_failures"] == 1
+        assert store.runs()[0]["n_failures"] == 1
 
     def test_metrics_land_in_the_metrics_table(self, store):
         result = store.ingest_records(records_from_snapshot(_snapshot()))
@@ -185,30 +202,6 @@ class TestLoopAttribution:
 
 
 class TestOtherIngest:
-    def test_timing_report_alone_makes_a_run(self, store):
-        result = store.ingest_timing_report(_timing_report())
-        assert result.created
-        assert store.run_row(result.run_id)["wall_seconds"] == 1.25
-
-    def test_wrong_format_timing_report_rejected(self, store):
-        with pytest.raises(StoreError, match="not an engine timing"):
-            store.ingest_timing_report({"format": "other"})
-
-    def test_journal_ingest(self, store, tmp_path):
-        path = tmp_path / "journal.jsonl"
-        records = [
-            {"format": "repro.journal.v1", "key": "k0", "index": 0,
-             "loop": "dot", "ok": True, "payload": {}},
-            {"format": "repro.journal.v1", "key": "k1", "index": 1,
-             "loop": "fir", "ok": False,
-             "failure": {"kind": "deterministic", "phase": "scheduling"}},
-        ]
-        path.write_text("".join(json.dumps(r) + "\n" for r in records))
-        result = store.ingest_journal(path)
-        loops = {row["name"]: row for row in store.loop_rows(result.run_id)}
-        assert loops["dot"]["ok"] == 1
-        assert loops["fir"]["failure_kind"] == "deterministic"
-
     def test_bench_trajectory_dedupes_by_time(self, store, tmp_path):
         path = tmp_path / "BENCH_X.json"
         data = {"version": 1, "runs": [
@@ -229,22 +222,35 @@ class TestOtherIngest:
         jsonl.write_text("".join(json.dumps(r) + "\n" for r in records))
         assert store.ingest_path(jsonl).kind == "obs"
 
-        timing = tmp_path / "timings.json"
-        timing.write_text(json.dumps(_timing_report(), indent=2))
-        assert store.ingest_path(timing).kind == "timing"
-
         bench = tmp_path / "BENCH_SCHED.json"
         bench.write_text(json.dumps(
             {"version": 1, "runs": [{"bench": "b", "unix_time": 1.0}]}
         ))
         assert store.ingest_path(bench).kind == "bench"
 
+    def test_wrong_format_timing_report_rejected(self, store, tmp_path):
+        """An engine timing report is not a run: the store reads runs
+        from ``repro.obs.v2`` exports only."""
+        timing = tmp_path / "timings.json"
+        timing.write_text(json.dumps({
+            "format": "repro.engine-timing.v1", "machine": "cydra5",
+            "n_loops": 2, "wall_seconds": 1.25, "loops": [], "failures": [],
+        }, indent=2))
+        with pytest.raises(StoreError, match="unrecognized"):
+            store.ingest_path(timing)
+        assert store.runs() == []
+
+    def test_journal_ingest(self, store, tmp_path):
+        """A resume journal is not a run either; ingesting one fails
+        schema validation and records nothing."""
         journal = tmp_path / "journal.jsonl"
-        journal.write_text(json.dumps(
-            {"format": "repro.journal.v1", "key": "k", "index": 0,
+        journal.write_text("".join(json.dumps(
+            {"format": "repro.journal.v1", "key": f"k{i}", "index": i,
              "loop": "dot", "ok": True}
-        ) + "\n")
-        assert store.ingest_path(journal).kind == "journal"
+        ) + "\n" for i in range(2)))
+        with pytest.raises(StoreError, match="not a valid obs export"):
+            store.ingest_path(journal)
+        assert store.runs() == []
 
     def test_ingest_path_rejects_garbage(self, store, tmp_path):
         path = tmp_path / "noise.json"
@@ -281,6 +287,15 @@ class TestRunResolution:
 
 
 class TestPersistence:
+    def test_store_of_another_schema_version_is_refused(self, tmp_path):
+        import sqlite3
+
+        path = tmp_path / "obs.db"
+        with sqlite3.connect(path) as db:
+            db.execute("PRAGMA user_version = 1")
+        with pytest.raises(StoreError, match="schema version 1"):
+            RunStore(path)
+
     def test_reopen_preserves_runs(self, tmp_path):
         path = tmp_path / "obs.db"
         records = records_from_snapshot(_snapshot())
