@@ -10,7 +10,10 @@ The modulo scheduler's output is verified *end-to-end* by executing it:
   ``k`` issuing at ``k * II + time(op)``: loads sample memory at their
   issue cycle and stores commit one cycle later, in global time order, so
   a missing or mis-distanced memory dependence edge produces a *different
-  answer* rather than going unnoticed;
+  answer* rather than going unnoticed.  It compiles a plan once per call
+  (events in kernel-row order, one closure per operation, each operand's
+  readiness decided once) and keeps per-instance checks for the
+  operations whose reads can fail;
 * :func:`check_equivalence` — runs both and compares the final state.
 """
 

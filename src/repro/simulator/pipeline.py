@@ -24,12 +24,28 @@ Arithmetic beneath an untaken predicate executes speculatively (as the
 hardware would); potentially-faulting speculative operations return IEEE
 poison values (NaN/inf) instead of raising, and the ``select`` that merges
 the result discards them.
+
+The executor is a plan built once per call.  Kernel row ``t mod II``
+holds the operations of stages ``t div II``: walking the rows cycle by
+cycle, stages descending, then by op, yields the events in (cycle,
+iteration, op) order.  Each operation's latency, semantics and readers
+are resolved once; its values live in one list indexed by iteration.
+Readiness is fixed per read: ``k*II + t_c < (k-d)*II + t_p + lat_p``
+reduces to ``t_c + d*II < t_p + lat_p``, and so is whether the
+producer's instance has issued yet.  An operation whose reads all
+succeed runs a closure with no per-instance checks; any other checks its
+reads per instance, in the interpreter's order, and raises the same
+:class:`SimulationError` from the same event.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
-from typing import Dict, List, Optional, Tuple
+import operator
+from functools import partial
+from typing import Callable, Dict, List, Tuple
 
 from repro.core.schedule import Schedule
 from repro.loopir.lower import LoweredLoop
@@ -55,32 +71,33 @@ def _safe_sqrt(a: float) -> float:
 
 
 _ARITH = {
-    "fadd": lambda a, b: a + b,
-    "fsub": lambda a, b: a - b,
-    "fmul": lambda a, b: a * b,
+    "fadd": operator.add,
+    "fsub": operator.sub,
+    "fmul": operator.mul,
     "fdiv": _safe_div,
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
+    "add": operator.add,
+    "sub": operator.sub,
+    "mul": operator.mul,
     "div": _safe_div,
-    "aadd": lambda a, b: a + b,
-    "asub": lambda a, b: a - b,
+    "aadd": operator.add,
+    "asub": operator.sub,
     "fmin": min,
     "fmax": max,
 }
 _UNARY = {
     "fabs": abs,
-    "fneg": lambda a: -a,
+    "fneg": operator.neg,
     "fsqrt": _safe_sqrt,
     "copy": lambda a: a,
+    "pnot": operator.not_,
 }
 _COMPARE = {
-    "cmp_lt": lambda a, b: a < b,
-    "cmp_le": lambda a, b: a <= b,
-    "cmp_eq": lambda a, b: a == b,
-    "cmp_ne": lambda a, b: a != b,
-    "cmp_gt": lambda a, b: a > b,
-    "cmp_ge": lambda a, b: a >= b,
+    "cmp_lt": operator.lt,
+    "cmp_le": operator.le,
+    "cmp_eq": operator.eq,
+    "cmp_ne": operator.ne,
+    "cmp_gt": operator.gt,
+    "cmp_ge": operator.ge,
 }
 _PREDICATE = {
     "pand": lambda a, b: bool(a) and bool(b),
@@ -88,26 +105,49 @@ _PREDICATE = {
 }
 
 
-class _Executor:
-    def __init__(
-        self,
-        lowered: LoweredLoop,
-        schedule: Schedule,
-        state: LoopState,
-        n: int,
-        check_ready: bool,
-    ) -> None:
-        self.lowered = lowered
-        self.schedule = schedule
-        self.graph = lowered.graph
-        self.state = state
-        self.n = n
+#: The two-operand opcodes: arithmetic, comparisons, predicate combines.
+_BINARY = {**_ARITH, **_COMPARE, **_PREDICATE}
+
+
+class _Plan:
+    """One run of a schedule, with every per-(loop, schedule) fact resolved.
+
+    Operation ``op`` at iteration ``k`` writes ``values[op][depth[op] + k]``.
+    The first ``depth[op]`` cells (the deepest distance ``op`` is read at)
+    hold its initial value, the value of every negative iteration.
+    """
+
+    def __init__(self, lowered, schedule, state, n, check_ready) -> None:
+        self.lowered, self.schedule, self.state = lowered, schedule, state
+        self.graph, self.n, self.ii = lowered.graph, n, schedule.ii
         self.check_ready = check_ready
         self.initial_scalars = dict(state.scalars)
-        self.values: Dict[Tuple[int, int], object] = {}
         self.carried_by_op = {op: name for name, op in lowered.carried_defs.items()}
-
-    # -- operand resolution ------------------------------------------------
+        real = [op.index for op in self.graph.operations if not op.is_pseudo]
+        self.times = {op: schedule.times[op] for op in real}
+        self.depth = dict.fromkeys(real, 0)
+        for op in real:
+            for kind, *link in self.graph.operation(op).attrs.get("operands", ()):
+                if kind == "op" and link[0] in self.depth:
+                    self.depth[link[0]] = max(self.depth[link[0]], link[1])
+        self.values: Dict[int, list] = {}
+        for op, depth in self.depth.items():
+            try:
+                initial = self._initial_value(op) if depth else None
+            except (SimulationError, KeyError):
+                initial = None  # the reads below zero check and raise it
+            self.values[op] = [initial] * depth + [None] * n
+        self.commits: List[tuple] = []  # heap of (cycle, issue order, commit)
+        self.issue_order = itertools.count()
+        self.checked: List[int] = []  # operations that check every read
+        # Kernel pass q issues iteration q - stage of entry (row, stage, step)
+        # at cycle q*II + row; rows, then stages descending, then ops give
+        # the (cycle, iteration, op) order.
+        ii = self.ii
+        slots = sorted((t % ii, -(t // ii), op) for op, t in self.times.items())
+        self.kernel = [(row, -s, self._step(op)) for row, s, op in slots]
+        stages = [stage for _, stage, _ in self.kernel] or [0]
+        self.passes = range(min(stages), max(stages) + n)
 
     def _initial_value(self, op: int) -> float:
         operation = self.graph.operation(op)
@@ -124,34 +164,142 @@ class _Executor:
             "initial value"
         )
 
+    def _issued_before(self, producer: int, distance: int, consumer: int) -> bool:
+        """Whether instance ``k - distance`` of ``producer`` issues before
+        instance ``k`` of ``consumer``: the same answer for every ``k``."""
+        times = self.times
+        return producer in times and (
+            times[producer] - distance * self.ii, -distance, producer
+        ) < (times[consumer], 0, consumer)
+
+    def _safe(self, descriptor: tuple, consumer: int) -> bool:
+        """Whether reading ``descriptor`` succeeds at every iteration.
+
+        Iteration 0 reads the initial value when ``distance > 0``; at
+        every ``k >= distance`` the checks compare the same times, so
+        iteration ``distance`` answers for all of them.
+        """
+        distance = descriptor[2] if descriptor[0] == "op" else 0
+        try:
+            for k in {0, distance}:
+                issue = k * self.ii + self.times[consumer]
+                self._check(descriptor, k, issue, consumer)
+        except (SimulationError, KeyError):
+            return False
+        return distance >= 0
+
+    def _reader(self, descriptor: tuple) -> Tuple[list, int]:
+        """``(cells, offset)``: iteration ``k`` reads ``cells[offset + k]``."""
+        kind = descriptor[0]
+        if kind == "const":
+            return [descriptor[1]] * self.n, 0
+        if kind == "livein":
+            return [self.initial_scalars.get(descriptor[1])] * self.n, 0
+        if kind == "op" and descriptor[1] in self.values:
+            _, producer, distance = descriptor
+            return self.values[producer], self.depth[producer] - distance
+        return [None] * self.n, 0  # never read: its check always raises
+
+    def _step(self, op: int) -> Callable[[int], None]:
+        """Iteration ``k`` of ``op``: its closure, behind per-instance
+        checks of its reads when one of them can fail."""
+        reads, step = self._compile(op)
+        if all(self._safe(descriptor, op) for descriptor in reads):
+            return step
+        self.checked.append(op)
+        return partial(self._checked, op, reads, step)
+
+    def _compile(self, op: int) -> Tuple[tuple, Callable[[int], None]]:
+        """The descriptors ``op`` reads, in the interpreter's order, and the
+        closure running one instance on unchecked reads."""
+        operation = self.graph.operation(op)
+        opcode, attrs = operation.opcode, operation.attrs
+        operands = attrs.get("operands", ())
+        out, o = self.values[op], self.depth[op]
+        if opcode in ("brtop", "limm"):
+            if opcode == "limm":  # reads see only issued instances
+                out[o:] = [operands[0][1]] * self.n
+            return (), lambda k: None
+        readers = [self._reader(descriptor) for descriptor in operands]
+        if opcode == "load":
+            array = self.state.arrays[attrs["array"]]
+            cells, get = array.cells(), array.__getitem__
+            if attrs.get("indirect"):
+                index, at = readers[1]
+                def step(k):
+                    out[o + k] = get(int(index[at + k]))
+            elif 0 <= attrs["offset"] + array.halo <= len(cells) - self.n:
+                at = attrs["offset"] + array.halo  # in bounds at every k
+                def step(k):
+                    out[o + k] = cells[at + k]
+            else:
+                offset = attrs["offset"]
+                def step(k):
+                    out[o + k] = get(k + offset)
+        elif opcode == "store":
+            (value, vo), rest = readers[1], iter(readers[2:])
+            index, io = next(rest) if attrs.get("indirect") else (None, 0)
+            guard, go = next(rest) if attrs.get("predicated") else (None, 0)
+            offset = None if index is not None else attrs["offset"]
+            name, t, ii = attrs["array"], self.times[op], self.ii
+            latency, commits = self.graph.latency(op), self.commits
+            issue_order = self.issue_order
+            def step(k):
+                position = k + offset if index is None else int(index[io + k])
+                if guard is None or guard[go + k]:
+                    due = k * ii + t + latency
+                    commit = (due, name, position, value[vo + k])
+                    heapq.heappush(commits, (due, next(issue_order), commit))
+        elif attrs.get("role") in ("address", "ivar"):
+            # Address/induction recurrences produce the iteration index.
+            def step(k):
+                out[o + k] = float(k + 1)
+            return operands[:1], step
+        elif opcode == "select":
+            (p, po), (a, ao), (b, bo) = readers
+            def step(k):
+                out[o + k] = a[ao + k] if p[po + k] else b[bo + k]
+        elif opcode in _UNARY:
+            fn, ((a, ao),) = _UNARY[opcode], readers[:1]
+            def step(k):
+                out[o + k] = fn(a[ao + k])
+        elif opcode in _BINARY:
+            fn, ((a, ao), (b, bo)) = _BINARY[opcode], readers[:2]
+            def step(k):
+                out[o + k] = fn(a[ao + k], b[bo + k])
+        else:
+            def step(k):
+                raise SimulationError(f"no semantics for opcode {opcode!r}")
+        return operands, step
+
+    # -- per-instance checks, for reads that can fail ------------------------
+
     def _flow_edge(self, producer: int, consumer: int, distance: int):
         """The graph's flow edge behind an operand read, if it has one."""
         for edge in self.graph.succ_edges(producer):
-            if (
-                edge.succ == consumer
-                and edge.distance == distance
-                and edge.kind.value == "flow"
-            ):
+            link = (edge.succ, edge.distance, edge.kind.value)
+            if link == (consumer, distance, "flow"):
                 return edge
         return None
 
-    def _operand(self, descriptor: tuple, k: int, use_time: int, consumer: int):
+    def _check(self, descriptor: tuple, k: int, use_time: int, consumer: int):
+        """Raise whatever reading ``descriptor`` at iteration ``k`` raises."""
         kind = descriptor[0]
         if kind == "const":
-            return descriptor[1]
+            return
         if kind == "livein":
-            try:
-                return self.initial_scalars[descriptor[1]]
-            except KeyError:
+            if descriptor[1] not in self.initial_scalars:
                 raise SimulationError(
                     f"live-in scalar {descriptor[1]!r} missing from state"
-                ) from None
+                )
+            return
         if kind != "op":
             raise SimulationError(f"unresolved operand descriptor {descriptor!r}")
         _, producer, distance = descriptor
         j = k - distance
         if j < 0:
-            return self._initial_value(producer)
+            self._initial_value(producer)
+            return
         if self.check_ready:
             available = (
                 j * self.schedule.ii
@@ -177,125 +325,57 @@ class _Executor:
                     f"{j}, t={self.schedule.times[producer]}) before it "
                     f"completes at cycle {available}; violated {edge_text}"
                 )
-        try:
-            return self.values[(producer, j)]
-        except KeyError:
+        if j >= self.n or not self._issued_before(producer, distance, consumer):
             raise SimulationError(
                 f"op {consumer} at cycle {use_time} requested the value of "
                 f"op {producer} iteration {j} before it executed"
-            ) from None
+            )
 
-    # -- one operation instance ---------------------------------------------
+    def _checked(self, op: int, reads: tuple, step, k: int) -> None:
+        issue = k * self.ii + self.times[op]
+        for descriptor in reads:
+            self._check(descriptor, k, issue, op)
+        step(k)
 
-    def _execute(self, op: int, k: int, issue: int, commits: List) -> None:
-        operation = self.graph.operation(op)
-        opcode = operation.opcode
-        operands = operation.attrs.get("operands", ())
-        if opcode == "load":
-            array = self.state.arrays[operation.attrs["array"]]
-            # Touch the address operand so readiness is checked.
-            self._operand(operands[0], k, issue, op)
-            if operation.attrs.get("indirect"):
-                position = int(self._operand(operands[1], k, issue, op))
-            else:
-                position = k + operation.attrs["offset"]
-            self.values[(op, k)] = array[position]
-            return
-        if opcode == "store":
-            address, value = operands[0], operands[1]
-            self._operand(address, k, issue, op)
-            committed = self._operand(value, k, issue, op)
-            cursor = 2
-            if operation.attrs.get("indirect"):
-                position = int(self._operand(operands[cursor], k, issue, op))
-                cursor += 1
-            else:
-                position = k + operation.attrs["offset"]
-            take = True
-            if operation.attrs.get("predicated"):
-                take = bool(self._operand(operands[cursor], k, issue, op))
-            if take:
-                commits.append(
-                    (
-                        issue + self.graph.latency(op),
-                        operation.attrs["array"],
-                        position,
-                        committed,
-                    )
-                )
-            self.values[(op, k)] = None
-            return
-        if opcode == "brtop":
-            self.values[(op, k)] = None
-            return
-        if opcode == "limm":
-            self.values[(op, k)] = operands[0][1]
-            return
-        if operation.attrs.get("role") in ("address", "ivar"):
-            # Address/induction recurrences produce the iteration index.
-            self._operand(operands[0], k, issue, op)
-            self.values[(op, k)] = float(k + 1)
-            return
-        args = [self._operand(d, k, issue, op) for d in operands]
-        if opcode == "select":
-            predicate, if_true, if_false = args
-            self.values[(op, k)] = if_true if bool(predicate) else if_false
-        elif opcode == "pnot":
-            self.values[(op, k)] = not bool(args[0])
-        elif opcode in _COMPARE:
-            self.values[(op, k)] = _COMPARE[opcode](args[0], args[1])
-        elif opcode in _PREDICATE:
-            self.values[(op, k)] = _PREDICATE[opcode](args[0], args[1])
-        elif opcode in _UNARY:
-            self.values[(op, k)] = _UNARY[opcode](args[0])
-        elif opcode in _ARITH:
-            self.values[(op, k)] = _ARITH[opcode](args[0], args[1])
-        else:
-            raise SimulationError(f"no semantics for opcode {opcode!r}")
-
-    # -- the run -------------------------------------------------------------
+    def _flush(self, cycle: float) -> None:
+        """Apply the stores due by ``cycle`` as the interpreter did: sorted
+        by (cycle, array, index, value) from issue order, which also fixes
+        where NaN values, unordered under ``<``, land."""
+        commits, due = self.commits, []
+        while commits and commits[0][0] <= cycle:
+            due.append(heapq.heappop(commits))
+        due.sort(key=operator.itemgetter(1))
+        for _, array, index, value in sorted([entry[2] for entry in due]):
+            self.state.arrays[array][index] = value
 
     def run(self) -> LoopState:
         """Play every operation instance in global time order."""
-        events: List[Tuple[int, int, int, int]] = []
-        for op in range(self.graph.n_ops):
-            if self.graph.operation(op).is_pseudo:
-                continue
-            t = self.schedule.times[op]
-            for k in range(self.n):
-                events.append((k * self.schedule.ii + t, k, op))
-        # Stable order: by cycle, then iteration, then operation index.
-        events.sort()
-        pending_commits: List[Tuple[int, str, int, float]] = []
-        for issue, k, op in events:
-            # Commit every store due at or before this cycle first: a load
-            # sampling at cycle t sees stores committed at cycle <= t.
-            if pending_commits:
-                due = [c for c in pending_commits if c[0] <= issue]
-                if due:
-                    due.sort()
-                    for _, array, index, value in due:
-                        self.state.arrays[array][index] = value
-                    pending_commits = [c for c in pending_commits if c[0] > issue]
-            self._execute(op, k, issue, pending_commits)
-        pending_commits.sort()
-        for _, array, index, value in pending_commits:
-            self.state.arrays[array][index] = value
+        n, ii, commits, flush = self.n, self.ii, self.commits, self._flush
+        for q in self.passes:
+            cycle = q * ii
+            for row, stage, step in self.kernel:
+                k = q - stage
+                if 0 <= k < n:
+                    # A load sampling at cycle t sees the stores
+                    # committed at cycle <= t.
+                    if commits and commits[0][0] <= cycle + row:
+                        flush(cycle + row)
+                    step(k)
+        flush(math.inf)
         # WHILE-loops: find the exit iteration from the alive predicate.
         # Iterations at and beyond it executed speculatively — their
         # stores were suppressed by the alive guard, and their scalar
         # values must not be written back.
-        last = self.n
+        last = n
         alive = self.lowered.alive_op
         if alive is not None:
-            for k in range(self.n):
-                if not self.values[(alive, k)]:
-                    last = k
-                    break
+            flags = self.values[alive][self.depth[alive] :]
+            last = next((k for k, flag in enumerate(flags) if not flag), n)
         # Write back the final value of every assigned scalar.
         if last > 0:
             for name, op in self.lowered.final_defs.items():
-                self.state.scalars[name] = self.values[(op, last - 1)]
+                value = self.values[op][self.depth[op] + last - 1]
+                self.state.scalars[name] = value
         return self.state
 
 
@@ -310,8 +390,11 @@ def run_pipelined(
 
     With ``check_ready=True`` (the default) every operand read asserts the
     producing instance has completed — a dynamic flow-dependence check on
-    top of the value-level equivalence the caller compares.
+    top of the value-level equivalence the caller compares.  ``n < 0``
+    and ``II < 1`` raise :class:`ValueError`.
     """
     if n < 0:
         raise ValueError(f"iteration count must be >= 0, got {n}")
-    return _Executor(lowered, schedule, state, n, check_ready).run()
+    if schedule.ii < 1:
+        raise ValueError(f"initiation interval must be >= 1, got {schedule.ii}")
+    return _Plan(lowered, schedule, state, n, check_ready).run()

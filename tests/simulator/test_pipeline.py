@@ -158,3 +158,18 @@ class TestViolationDetection:
                 make_initial_state(lowered, 4),
                 -1,
             )
+
+    @pytest.mark.parametrize("ii", [0, -1])
+    def test_initiation_interval_below_one_rejected(self, ii):
+        """II 0 would play every iteration in one cycle."""
+        machine = single_alu_machine()
+        lowered = _compiled("saxpy", machine)
+        result = modulo_schedule(lowered.graph, machine)
+        schedule = Schedule(
+            lowered.graph,
+            ii,
+            dict(result.schedule.times),
+            dict(result.schedule.alternatives),
+        )
+        with pytest.raises(ValueError, match="initiation interval"):
+            run_pipelined(lowered, schedule, make_initial_state(lowered, 4), 4)
