@@ -74,8 +74,9 @@ def engine(machine):
         budget_ratio=QUALITY_BUDGET_RATIO,
         exact_mii=True,
         jobs=_engine_jobs(),
-        cache_dir=CACHE_DIR,
-        use_cache="REPRO_BENCH_NO_CACHE" not in os.environ,
+        cache_dir=(
+            None if "REPRO_BENCH_NO_CACHE" in os.environ else CACHE_DIR
+        ),
         obs=ObsContext(),
     )
 
@@ -84,17 +85,15 @@ def engine(machine):
 def evaluations(engine, corpus):
     """Full-corpus evaluation at the quality BudgetRatio, exact MII.
 
-    The engine's structured timing report (per-loop phase times, cache
-    hit/miss counters, run-level complexity-counter totals) lands in
-    ``benchmarks/results/engine_timing.json`` and the full observability
-    snapshot (spans + metrics, docs/OBSERVABILITY.md) in
-    ``benchmarks/results/engine_obs.jsonl`` for the regression harness.
+    The run's observability export (spans + metrics: per-loop phase
+    times, cache hit/miss counters, run-level complexity-counter totals;
+    docs/OBSERVABILITY.md) lands in ``benchmarks/results/engine_obs.jsonl``
+    for the regression harness.
     """
     from repro.obs.exporters import write_jsonl
 
     result = engine.evaluate(corpus)
     RESULTS_DIR.mkdir(exist_ok=True)
-    result.write_timing_json(RESULTS_DIR / "engine_timing.json")
     write_jsonl(
         engine.obs.to_dict(),
         RESULTS_DIR / "engine_obs.jsonl",

@@ -11,7 +11,7 @@ Run:  python examples/corpus_report.py
 from collections import Counter
 
 from repro import cydra5
-from repro.analysis import distribution_row, evaluate_corpus, render_table
+from repro.analysis import EvaluationEngine, distribution_row, render_table
 from repro.workloads import build_corpus
 
 
@@ -19,7 +19,8 @@ def main() -> None:
     machine = cydra5()
     corpus = build_corpus(machine, n_synthetic=154, seed=0)
     print(f"evaluating {len(corpus)} loops on {machine.name!r}...")
-    evaluations = evaluate_corpus(corpus, machine, budget_ratio=6.0)
+    engine = EvaluationEngine(machine, budget_ratio=6.0)
+    evaluations = engine.evaluate(corpus).evaluations
 
     rows = [
         distribution_row(

@@ -3,7 +3,7 @@
 Run:  python examples/quickstart.py
 """
 
-from repro import cydra5, modulo_schedule, validate_schedule
+from repro import check_schedule, cydra5, modulo_schedule
 from repro.loopir import compile_loop_full
 from repro.simulator import check_equivalence
 
@@ -37,8 +37,8 @@ def main() -> None:
     print(result.schedule.describe())
 
     # 4. Statically validate every dependence and the modulo constraint.
-    problems = validate_schedule(graph, machine, result.schedule)
-    print(f"\nstatic validation: {'OK' if not problems else problems}")
+    diags = check_schedule(graph, machine, result.schedule)
+    print(f"\nstatic validation: {'OK' if diags.ok else diags.render()}")
 
     # 5. Execute the pipelined schedule against the sequential oracle.
     report = check_equivalence(lowered, result.schedule, n=50, seed=1)

@@ -61,9 +61,9 @@ from repro.core import (
     SchedulingFailure,
     compute_mii,
     modulo_schedule,
-    validate_schedule,
 )
 from repro.baselines import list_schedule, unroll_and_schedule
+from repro.check import check_schedule
 
 __version__ = "1.0.0"
 
@@ -89,7 +89,7 @@ __all__ = [
     "SchedulingFailure",
     "compute_mii",
     "modulo_schedule",
-    "validate_schedule",
+    "check_schedule",
     "list_schedule",
     "unroll_and_schedule",
     "__version__",

@@ -40,18 +40,14 @@ from repro.analysis.resilience import (
     load_quarantine,
 )
 from repro.analysis.regression import (
-    counter_totals,
     fit_linear,
     fit_quadratic,
     fit_power,
     load_obs_records,
-    load_timing_report,
-    timing_speedup,
 )
-from repro.analysis.runner import LoopEvaluation, evaluate_loop, evaluate_corpus
+from repro.analysis.runner import LoopEvaluation, evaluate_loop
 from repro.analysis.report import (
     render_obs_summary,
-    render_phase_summary,
     render_series,
     render_table,
 )
@@ -77,18 +73,13 @@ __all__ = [
     "evaluation_to_dict",
     "execution_time",
     "execution_time_bound",
-    "counter_totals",
     "fit_linear",
     "fit_quadratic",
     "fit_power",
     "load_obs_records",
-    "load_timing_report",
-    "timing_speedup",
     "LoopEvaluation",
     "evaluate_loop",
-    "evaluate_corpus",
     "render_obs_summary",
-    "render_phase_summary",
     "render_table",
     "render_series",
     "table3_rows",

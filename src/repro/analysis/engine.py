@@ -37,8 +37,9 @@ the substrate that makes corpus-scale evaluation cheap, repeatable and
   journal next to the cache; ``resume=True`` replays completed loops
   from the journal and re-evaluates only the rest;
 * **per-loop phase timings** (mindist / scheduling / codegen /
-  simulation) and cache hit/miss counters, emitted as JSON for the
-  regression harness (see :func:`repro.analysis.regression.timing_speedup`).
+  simulation) and cache hit/miss counters on the result; a traced run
+  records the same facts as spans and metrics of its ``repro.obs.v2``
+  export, the one serialized form of a run (docs/OBSERVABILITY.md).
 
 Both the serial and the parallel path round-trip each evaluation through
 the same JSON payload that the cache stores, so results are bit-identical
@@ -114,7 +115,6 @@ CODE_FORMAT_VERSION = 7  # v7: payloads hold the schedule body without its
 # graph, and keys hash the machine's content key
 
 _PAYLOAD_FORMAT = "repro.loop-evaluation.v2"
-TIMING_FORMAT = "repro.engine-timing.v1"
 
 #: The per-loop phases the engine accounts for.
 PHASES = ("mindist", "scheduling", "codegen", "check", "simulation")
@@ -360,17 +360,6 @@ class LoopTiming:
     seconds: Dict[str, float]
     resumed: bool = False
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-compatible form for the timing report."""
-        return {
-            "index": self.index,
-            "loop": self.loop_name,
-            "key": self.key,
-            "cache_hit": self.cache_hit,
-            "seconds": dict(self.seconds),
-            "resumed": self.resumed,
-        }
-
 
 @dataclass
 class CorpusEvaluation:
@@ -381,12 +370,12 @@ class CorpusEvaluation:
     ``timings`` one record per corpus loop regardless of outcome.
     ``counters`` is the run-level :class:`Counters` aggregate merged over
     every successful evaluation — cache hits included — so Table-4-style
-    complexity data survives any ``jobs`` fan-out.  ``metrics`` is the
-    deterministic metric snapshot of the engine's
-    :class:`~repro.obs.ObsContext` (``None`` when observability is off).
+    complexity data survives any ``jobs`` fan-out.
 
     The resilience tallies (``retries`` .. ``quarantined``) count fault
     events the run absorbed; they are all zero on a clean run.
+    ``quarantined`` counts the failures written to ``quarantine.json``,
+    so it stays zero when the file is disabled.
     ``diagnostics`` carries run-level human-readable notes (a broken
     pool, a reap) that belong to the run rather than to any one loop.
     """
@@ -394,15 +383,12 @@ class CorpusEvaluation:
     evaluations: List[LoopEvaluation]
     failures: List[LoopFailure]
     timings: List[LoopTiming]
-    machine_name: str
     jobs: int
-    cache_dir: Optional[str]
     cache_enabled: bool
     hits: int
     misses: int
     wall_seconds: float
     counters: Counters = field(default_factory=Counters)
-    metrics: Optional[Dict[str, Any]] = None
     #: Merged collapsed-stack sample counts from the sampling profiler
     #: (``--profile``); ``None`` on unprofiled runs.
     profile: Optional[Dict[str, int]] = None
@@ -415,70 +401,12 @@ class CorpusEvaluation:
     cache_corrupt: int = 0
     quarantined: int = 0
     diagnostics: List[str] = field(default_factory=list)
-    journal_path: Optional[str] = None
     quarantine_path: Optional[str] = None
 
     @property
     def ok(self) -> bool:
         """True when every loop evaluated successfully."""
         return not self.failures
-
-    def phase_seconds(self) -> Dict[str, float]:
-        """Total seconds per phase, aggregated over all loops."""
-        totals: Dict[str, float] = {}
-        for timing in self.timings:
-            for name, value in timing.seconds.items():
-                totals[name] = totals.get(name, 0.0) + value
-        return totals
-
-    def timing_report(self) -> Dict[str, Any]:
-        """The structured timing document the regression harness consumes.
-
-        Alongside the timings proper the report carries the run-level
-        telemetry snapshot: the aggregated algorithm ``counters``, the
-        resilience tallies, and, when the run was observed, the
-        deterministic ``metrics`` registry — a stable schema for
-        BENCH_*.json to track across PRs.
-        """
-        return {
-            "format": TIMING_FORMAT,
-            "machine": self.machine_name,
-            "jobs": self.jobs,
-            "cache": {
-                "enabled": self.cache_enabled,
-                "dir": self.cache_dir,
-                "hits": self.hits,
-                "misses": self.misses,
-            },
-            "n_loops": len(self.timings),
-            "n_failures": len(self.failures),
-            "wall_seconds": self.wall_seconds,
-            "phase_seconds": self.phase_seconds(),
-            "counters": self.counters.snapshot(),
-            "metrics": self.metrics,
-            "resilience": {
-                "retries": self.retries,
-                "timeouts": self.timeouts,
-                "crashes": self.crashes,
-                "reaped": self.reaped,
-                "degraded": self.degraded,
-                "resume_skipped": self.resume_skipped,
-                "cache_corrupt": self.cache_corrupt,
-                "quarantined": self.quarantined,
-                "diagnostics": list(self.diagnostics),
-                "journal": self.journal_path,
-                "quarantine": self.quarantine_path,
-            },
-            "loops": [t.to_dict() for t in self.timings],
-            "failures": [f.to_dict() for f in self.failures],
-        }
-
-    def write_timing_json(self, path) -> Path:
-        """Write :meth:`timing_report` to ``path`` (created/overwritten)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(self.timing_report(), indent=2) + "\n")
-        return path
 
     def describe(self) -> str:
         """One-line summary for logs and the CLI."""
@@ -901,7 +829,6 @@ class _RunStats:
     degraded: int = 0
     resume_skipped: int = 0
     cache_corrupt: int = 0
-    quarantined: int = 0
     diagnostics: List[str] = field(default_factory=list)
 
 
@@ -952,10 +879,7 @@ class EvaluationEngine:
         corpus order, independent of completion order.
     cache_dir:
         Directory for the content-addressed cache (created on demand);
-        ``None`` disables caching entirely.
-    use_cache:
-        When False, the cache is neither read nor written even if
-        ``cache_dir`` is set (the CLI's ``--no-cache``).
+        ``None`` disables caching entirely (the CLI's ``--no-cache``).
     verify_iterations:
         When positive, every loop with front-end metadata additionally
         runs code generation and ``verify_iterations`` iterations of the
@@ -1026,7 +950,6 @@ class EvaluationEngine:
         backend: str = "ims",
         jobs: Optional[int] = 1,
         cache_dir=None,
-        use_cache: bool = True,
         verify_iterations: int = 0,
         check: bool = False,
         obs=None,
@@ -1049,7 +972,6 @@ class EvaluationEngine:
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.use_cache = use_cache
         self.verify_iterations = verify_iterations
         self.check = bool(check)
         self.obs = obs if obs is not None else NULL_OBS
@@ -1094,7 +1016,7 @@ class EvaluationEngine:
     @property
     def caching(self) -> bool:
         """Whether this engine reads and writes the on-disk cache."""
-        return self.use_cache and self.cache_dir is not None
+        return self.cache_dir is not None
 
     def key_for(self, loop: CorpusLoop) -> str:
         """The cache key of one loop under this engine's configuration."""
@@ -1400,29 +1322,27 @@ class EvaluationEngine:
                 if value:
                     obs.counter(name).inc(value)
 
-            stats.quarantined = len(failures)
+            quarantined = 0
             if self.quarantine_path is not None:
                 write_quarantine(
                     self.quarantine_path,
                     self.machine.name,
                     [f.to_dict() for f in failures],
                 )
-                if failures:
-                    obs.counter("resilience.quarantined").inc(len(failures))
+                quarantined = len(failures)
+                if quarantined:
+                    obs.counter("resilience.quarantined").inc(quarantined)
             root.set("failures", len(failures))
         return CorpusEvaluation(
             evaluations=evaluations,
             failures=failures,
             timings=timings,
-            machine_name=self.machine.name,
             jobs=self.jobs,
-            cache_dir=str(self.cache_dir) if self.cache_dir else None,
             cache_enabled=self.caching,
             hits=sum(hit_flags),
             misses=len(pending),
             wall_seconds=time.perf_counter() - started,
             counters=totals,
-            metrics=obs.metrics.snapshot() if obs.enabled else None,
             profile=profile,
             retries=stats.retries,
             timeouts=stats.timeouts,
@@ -1431,11 +1351,8 @@ class EvaluationEngine:
             degraded=stats.degraded,
             resume_skipped=stats.resume_skipped,
             cache_corrupt=stats.cache_corrupt,
-            quarantined=stats.quarantined,
+            quarantined=quarantined,
             diagnostics=stats.diagnostics,
-            journal_path=(
-                str(self.journal_path) if self.journal_path else None
-            ),
             quarantine_path=(
                 str(self.quarantine_path) if self.quarantine_path else None
             ),

@@ -104,27 +104,6 @@ def fit_quadratic(x: Sequence[float], y: Sequence[float]) -> QuadraticFit:
     return QuadraticFit(float(a), float(b), float(c), _residual_std(ys, predicted))
 
 
-def load_timing_report(path) -> dict:
-    """Load an engine timing report (see ``CorpusEvaluation.timing_report``).
-
-    The regression harness compares these documents across runs — e.g. a
-    cold run against a warm-cache run, or the current build against a
-    baseline — so the loader validates the format marker up front.
-    """
-    import json
-    from pathlib import Path
-
-    from repro.analysis.engine import TIMING_FORMAT
-
-    data = json.loads(Path(path).read_text())
-    if not isinstance(data, dict) or data.get("format") != TIMING_FORMAT:
-        raise ValueError(
-            f"{path}: not an engine timing report "
-            f"(format {data.get('format') if isinstance(data, dict) else data!r})"
-        )
-    return data
-
-
 def load_obs_records(path) -> list:
     """Load and schema-validate a ``repro.obs.v2`` JSONL export.
 
@@ -145,37 +124,6 @@ def load_obs_records(path) -> list:
             f"{path}: not a valid repro.obs export: " + "; ".join(errors[:5])
         )
     return [json.loads(line) for line in text.splitlines() if line.strip()]
-
-
-def counter_totals(report) -> dict:
-    """The run-level counter aggregate of a timing report (or its path).
-
-    Returns the ``counters`` snapshot (empty for pre-telemetry reports),
-    letting the harness compare Table-4-style complexity counters across
-    runs and job counts.
-    """
-    if not isinstance(report, dict):
-        report = load_timing_report(report)
-    return dict(report.get("counters") or {})
-
-
-def timing_speedup(baseline, candidate) -> float:
-    """Wall-clock speedup of ``candidate`` over ``baseline``.
-
-    Both arguments are timing reports (dicts) or paths to them.  Returns
-    ``baseline_wall / candidate_wall``; a zero-cost candidate reports
-    ``inf``.  CI uses this to assert that a warm-cache run is at least 5x
-    faster than the cold run that populated the cache.
-    """
-    if not isinstance(baseline, dict):
-        baseline = load_timing_report(baseline)
-    if not isinstance(candidate, dict):
-        candidate = load_timing_report(candidate)
-    base = float(baseline["wall_seconds"])
-    cand = float(candidate["wall_seconds"])
-    if cand <= 0.0:
-        return math.inf
-    return base / cand
 
 
 def fit_power(x: Sequence[float], y: Sequence[float]) -> PowerFit:

@@ -42,24 +42,6 @@ def render_series(
     return render_table(headers, rows, title=title)
 
 
-def render_phase_summary(
-    phase_seconds, title: str = "engine phase seconds:"
-) -> str:
-    """Render an engine run's per-phase time totals, largest first.
-
-    ``phase_seconds`` is the aggregate produced by
-    ``CorpusEvaluation.phase_seconds()`` — phase name to seconds, with
-    the synthetic ``"total"`` (and, on cache hits, ``"load"``) keys.  The
-    ``"total"`` row is pinned last.
-    """
-    named = [(k, v) for k, v in phase_seconds.items() if k != "total"]
-    named.sort(key=lambda item: (-item[1], item[0]))
-    if "total" in phase_seconds:
-        named.append(("total", phase_seconds["total"]))
-    rows = [[name, f"{seconds:.3f}"] for name, seconds in named]
-    return render_table(["phase", "seconds"], rows, title=title)
-
-
 def render_phase_profile(run_id, run, profile) -> str:
     """Render one stored run's self-time phase profile.
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Optional
 
 from repro.analysis.model import execution_time, execution_time_bound
 from repro.core.mii import MIIResult
@@ -145,72 +145,6 @@ def evaluate_loop(
         budget_ratio=budget_ratio,
         exact_mii=exact_mii,
         backend=backend,
-        use_cache=False,
         degrade=False,
     )
     return engine.evaluate_loop(loop)
-
-
-def evaluate_corpus(
-    corpus: Sequence[CorpusLoop],
-    machine,
-    budget_ratio: float = 6.0,
-    exact_mii: bool = True,
-    backend: str = "ims",
-    jobs: Optional[int] = 1,
-    cache_dir=None,
-    use_cache: bool = True,
-    verify_iterations: int = 0,
-    failures: Optional[list] = None,
-    counters: Optional[Counters] = None,
-    obs=None,
-    loop_timeout: Optional[float] = None,
-    retry_policy=None,
-    degrade: bool = True,
-    journal_path=None,
-    resume: bool = False,
-    quarantine_path=None,
-    fault_plan=None,
-) -> List[LoopEvaluation]:
-    """Evaluate every loop of a corpus (order preserved).
-
-    Delegates to :class:`repro.analysis.engine.EvaluationEngine`: ``jobs``
-    fans the work out over a process pool, and ``cache_dir`` enables the
-    content-addressed result cache (``use_cache=False`` bypasses it).
-
-    A loop that raises no longer aborts the whole run — it is skipped and
-    reported as a structured :class:`repro.analysis.engine.LoopFailure`,
-    appended to ``failures`` when a list is supplied.  Pass a
-    :class:`Counters` as ``counters`` to receive the run-level aggregate
-    merged over every evaluation (identical for any ``jobs`` value — the
-    per-loop bundles ride back through the engine's JSON payloads), and
-    an :class:`repro.obs.ObsContext` as ``obs`` to trace the run.  Use
-    the engine directly for the full result (failures, timings, cache
-    counters, the metric snapshot).
-    """
-    from repro.analysis.engine import EvaluationEngine
-
-    engine = EvaluationEngine(
-        machine,
-        budget_ratio=budget_ratio,
-        exact_mii=exact_mii,
-        backend=backend,
-        jobs=jobs,
-        cache_dir=cache_dir,
-        use_cache=use_cache,
-        verify_iterations=verify_iterations,
-        obs=obs,
-        loop_timeout=loop_timeout,
-        retry_policy=retry_policy,
-        degrade=degrade,
-        journal_path=journal_path,
-        resume=resume,
-        quarantine_path=quarantine_path,
-        fault_plan=fault_plan,
-    )
-    result = engine.evaluate(corpus)
-    if failures is not None:
-        failures.extend(result.failures)
-    if counters is not None:
-        counters.merge(result.counters)
-    return result.evaluations

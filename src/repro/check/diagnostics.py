@@ -5,7 +5,7 @@ Every checker and lint pass in :mod:`repro.check` reports its findings as
 are *stable identifiers* (``SCHED005``, ``MACH002``, …): tests, waivers and
 CI gates key on them, so a code is never renumbered or reused — the
 negative-path regression suite (one corrupted fixture per code, see
-:mod:`repro.check.mutate`) pins each one in place.
+``tests/check/mutate.py``) pins each one in place.
 
 Two renderers are provided: a human one (one finding per line, grouped by
 severity rank) and a JSON document under the ``repro.check.v1`` format,
@@ -203,10 +203,6 @@ class Diagnostics:
             if diagnostic.code not in seen:
                 seen.append(diagnostic.code)
         return seen
-
-    def messages(self) -> List[str]:
-        """Just the message strings, in order (legacy validator API)."""
-        return [d.message for d in self._diagnostics]
 
     def render(self, limit: Optional[int] = None) -> str:
         """Human rendering; see :func:`render_human`."""

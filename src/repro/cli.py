@@ -389,8 +389,7 @@ def _cmd_check(args, out) -> int:
             budget_ratio=args.budget_ratio,
             backend=args.backend,
             jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            use_cache=not args.no_cache,
+            cache_dir=None if args.no_cache else args.cache_dir,
             verify_iterations=args.verify,
             check=True,
             retry_policy=RetryPolicy(max_retries=args.retries),
@@ -456,7 +455,6 @@ def _cmd_corpus(args, out) -> int:
     from repro.analysis import distribution_row, render_table
     from repro.analysis.engine import EvaluationEngine
     from repro.analysis.resilience import RetryPolicy
-    from repro.analysis.report import render_phase_summary
     from repro.workloads import build_corpus
     from repro.workloads.kernels import KERNELS
 
@@ -490,8 +488,7 @@ def _cmd_corpus(args, out) -> int:
             budget_ratio=args.budget_ratio,
             backend=args.backend,
             jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            use_cache=not args.no_cache,
+            cache_dir=None if args.no_cache else args.cache_dir,
             verify_iterations=args.verify,
             obs=obs,
             loop_timeout=args.loop_timeout,
@@ -523,10 +520,6 @@ def _cmd_corpus(args, out) -> int:
         except OSError as exc:
             print(f"error: obs output path unusable: {exc}", file=sys.stderr)
             return 2
-    if args.timings:
-        path = result.write_timing_json(args.timings)
-        print(render_phase_summary(result.phase_seconds()), file=out)
-        print(f"timing report written to {path}", file=out)
     if args.obs_db:
         from repro.obs.store import RunStore, StoreError
 
@@ -714,10 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
     corpus.add_argument(
         "--no-cache", action="store_true",
         help="neither read nor write the result cache",
-    )
-    corpus.add_argument(
-        "--timings", default=None, metavar="FILE",
-        help="write the engine's structured timing report (JSON) to FILE",
     )
     corpus.add_argument(
         "--verify", type=int, default=0, metavar="N",

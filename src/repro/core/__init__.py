@@ -9,7 +9,9 @@ Public entry points:
   scheduling algorithm of Section 3 (Figures 2-4), including the HeightR
   priority, Estart windows, the modulo reservation table, displacement
   with the forward-progress rule, and the BudgetRatio mechanism.
-* :func:`repro.core.validate.validate_schedule` — static legality checks.
+
+Static legality checks of a finished schedule live in the independent
+validator, :func:`repro.check.check_schedule`.
 """
 
 from repro.core.stats import Counters
@@ -29,7 +31,6 @@ from repro.core.scheduler import (
     SchedulingFailure,
     modulo_schedule,
 )
-from repro.core.validate import validate_schedule, assert_valid_schedule
 from repro.core.preunroll import (
     UnrollRecommendation,
     recommend_unroll,
@@ -64,6 +65,4 @@ __all__ = [
     "ModuloScheduleResult",
     "SchedulingFailure",
     "modulo_schedule",
-    "validate_schedule",
-    "assert_valid_schedule",
 ]

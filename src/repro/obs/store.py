@@ -591,14 +591,3 @@ class RunStore:
                 (run_id,),
             )
         }
-
-    def phase_durations(self, run_id: str) -> Dict[str, List[float]]:
-        """Per-span-name lists of (self-time) durations, name-sorted."""
-        out: Dict[str, List[float]] = {}
-        for row in self._db.execute(
-            "SELECT name, self_dur FROM spans WHERE run_id = ? "
-            "ORDER BY name, span_id",
-            (run_id,),
-        ):
-            out.setdefault(row["name"], []).append(row["self_dur"])
-        return out

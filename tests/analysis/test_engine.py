@@ -11,19 +11,20 @@ from pathlib import Path
 import pytest
 
 import repro.analysis.engine as engine_module
-from repro.analysis import evaluate_corpus
 from repro.analysis.engine import (
     EvaluationEngine,
     cache_key,
     evaluation_from_dict,
     evaluation_to_dict,
 )
-from repro.analysis.regression import load_timing_report, timing_speedup
+from repro.analysis.regression import load_obs_records
 from repro.ir import DependenceGraph, DependenceKind
 from repro.machine import cydra5
 from repro.machine.serialize import machine_from_dict, machine_to_dict
+from repro.obs import ObsContext, write_jsonl
 from repro.workloads import build_corpus
 from repro.workloads.corpus import CorpusLoop
+from tests.conftest import export_counters
 
 SRC_DIR = Path(__file__).resolve().parents[2] / "src"
 
@@ -223,15 +224,16 @@ class TestCache:
         engine = EvaluationEngine(machine, cache_dir=tmp_path / "cache")
         cold = engine.evaluate(corpus)
         assert cold.hits == 0 and cold.misses == len(corpus)
-        assert cold.phase_seconds().get("scheduling", 0.0) > 0.0
+        scheduled = [t.seconds.get("scheduling", 0.0) for t in cold.timings]
+        assert sum(scheduled) > 0.0
 
         warm = engine.evaluate(corpus)
         assert warm.hits == len(corpus) and warm.misses == 0
-        phases = warm.phase_seconds()
-        assert phases.get("mindist", 0.0) == 0.0
-        assert phases.get("scheduling", 0.0) == 0.0
-        assert phases.get("simulation", 0.0) == 0.0
-        assert all(t.cache_hit for t in warm.timings)
+        for timing in warm.timings:
+            assert timing.cache_hit
+            assert not {"mindist", "scheduling", "simulation"} & set(
+                timing.seconds
+            )
 
         canonical = lambda e: json.dumps(
             evaluation_to_dict(e, machine), sort_keys=True
@@ -316,12 +318,20 @@ class TestCache:
         again = engine.evaluate(corpus[:1])
         assert again.cache_corrupt == 1 and again.ok
 
-    def test_no_cache_flag_bypasses_directory(self, machine, corpus, tmp_path):
-        engine = EvaluationEngine(
-            machine, cache_dir=tmp_path / "cache", use_cache=False
-        )
-        engine.evaluate(corpus[:2])
-        assert not (tmp_path / "cache").exists()
+    def test_no_cache_flag_bypasses_directory(
+        self, machine, corpus, tmp_path, monkeypatch
+    ):
+        """``--no-cache`` is ``cache_dir=None``: the run writes no cache
+        entry, journal or quarantine file anywhere."""
+        monkeypatch.chdir(tmp_path)
+        engine = EvaluationEngine(machine, cache_dir=None)
+        assert engine.journal_path is None
+        assert engine.quarantine_path is None
+        result = engine.evaluate([*corpus[:2], _infeasible_loop(machine)])
+        assert not result.cache_enabled and result.hits == 0
+        assert "cache off" in result.describe()
+        assert len(result.failures) == 1
+        assert list(tmp_path.iterdir()) == []
 
     def test_config_change_invalidates(self, machine, corpus, tmp_path):
         cache = tmp_path / "cache"
@@ -352,19 +362,36 @@ class TestFailureRecords:
         assert not result.ok
 
     def test_evaluate_corpus_surfaces_failures(self, machine, corpus):
-        mixed = [corpus[0], _infeasible_loop(machine), corpus[1]]
-        failures = []
-        evaluations = evaluate_corpus(mixed, machine, failures=failures)
-        assert len(evaluations) == 2
-        assert len(failures) == 1
-        assert failures[0].loop_name == "infeasible"
-
-    def test_failures_appear_in_timing_report(self, machine, corpus):
+        """A failed loop is a JSON-ready record beside the evaluations."""
         mixed = [_infeasible_loop(machine), corpus[0]]
-        report = EvaluationEngine(machine).evaluate(mixed).timing_report()
-        assert report["n_failures"] == 1
-        assert report["failures"][0]["loop"] == "infeasible"
-        assert report["failures"][0]["error_type"] == "GraphError"
+        result = EvaluationEngine(machine).evaluate(mixed)
+        assert len(result.evaluations) == 1
+        records = json.loads(
+            json.dumps([failure.to_dict() for failure in result.failures])
+        )
+        assert len(records) == 1
+        assert records[0]["loop"] == "infeasible"
+        assert records[0]["error_type"] == "GraphError"
+        assert records[0]["kind"] == "deterministic"
+
+    def test_failures_appear_in_timing_report(self, machine, corpus, tmp_path):
+        """The run's timed record, its ``repro.obs.v2`` export, counts the
+        failure and marks the failed loop's span."""
+        obs = ObsContext()
+        mixed = [_infeasible_loop(machine), corpus[0]]
+        EvaluationEngine(machine, obs=obs).evaluate(mixed)
+        path = write_jsonl(obs.to_dict(), tmp_path / "run.jsonl", run={})
+        records = load_obs_records(path)
+        assert export_counters(records)["engine.failures"] == 1
+        failed = [
+            r["attrs"] for r in records
+            if r["type"] == "span" and r["name"] == "loop"
+            and not r["attrs"]["ok"]
+        ]
+        assert len(failed) == 1
+        assert failed[0]["loop"] == "infeasible"
+        assert failed[0]["failed_phase"] == "mindist"
+        assert failed[0]["kind"] == "deterministic"
 
     def test_parallel_failures_also_structured(self, machine, corpus):
         mixed = [corpus[0], _infeasible_loop(machine), corpus[1]]
@@ -380,34 +407,45 @@ class TestFailureRecords:
 
 
 class TestTimingReport:
+    """A run's timings: per loop on ``result.timings``, and for the whole
+    run in its ``repro.obs.v2`` export."""
+
     def test_report_structure(self, machine, corpus, tmp_path):
         engine = EvaluationEngine(machine, cache_dir=tmp_path / "cache")
         result = engine.evaluate(corpus)
-        report = result.timing_report()
-        assert report["format"] == "repro.engine-timing.v1"
-        assert report["machine"] == machine.name
-        assert report["n_loops"] == len(corpus)
-        assert len(report["loops"]) == len(corpus)
-        record = report["loops"][0]
-        assert set(record) == {
-            "index", "loop", "key", "cache_hit", "seconds", "resumed"
-        }
-        assert record["seconds"]["total"] > 0.0
+        assert [t.index for t in result.timings] == list(range(len(corpus)))
+        assert [t.loop_name for t in result.timings] == [
+            loop.name for loop in corpus
+        ]
+        timing = result.timings[0]
+        assert timing.key == engine.key_for(corpus[0])
+        assert not timing.cache_hit and not timing.resumed
+        assert timing.seconds["total"] > 0.0
 
     def test_write_and_load_round_trip(self, machine, corpus, tmp_path):
-        engine = EvaluationEngine(machine, cache_dir=tmp_path / "cache")
-        cold = engine.evaluate(corpus)
-        warm = engine.evaluate(corpus)
-        cold_path = cold.write_timing_json(tmp_path / "cold.json")
-        warm_path = warm.write_timing_json(tmp_path / "warm.json")
-        cold_report = load_timing_report(cold_path)
-        warm_report = load_timing_report(warm_path)
-        assert warm_report["cache"]["hits"] == len(corpus)
-        assert warm_report["cache"]["misses"] == 0
-        assert timing_speedup(cold_report, warm_report) > 0.0
+        def run(name):
+            obs = ObsContext()
+            engine = EvaluationEngine(
+                machine, cache_dir=tmp_path / "cache", obs=obs
+            )
+            engine.evaluate(corpus)
+            path = write_jsonl(obs.to_dict(), tmp_path / name, run={})
+            records = load_obs_records(path)
+            (root,) = [
+                r for r in records
+                if r["type"] == "span" and r["name"] == "corpus.evaluate"
+            ]
+            return export_counters(records), root["dur"]
+
+        cold, cold_seconds = run("cold.jsonl")
+        warm, warm_seconds = run("warm.jsonl")
+        assert cold["engine.cache.misses"] == len(corpus)
+        assert warm["engine.cache.hits"] == len(corpus)
+        assert warm["engine.cache.misses"] == 0
+        assert cold_seconds / warm_seconds > 0.0
 
     def test_load_rejects_other_documents(self, tmp_path):
-        path = tmp_path / "bogus.json"
-        path.write_text(json.dumps({"format": "something-else"}))
+        path = tmp_path / "bogus.jsonl"
+        path.write_text(json.dumps({"format": "something-else"}) + "\n")
         with pytest.raises(ValueError):
-            load_timing_report(path)
+            load_obs_records(path)

@@ -12,12 +12,13 @@ import json
 
 import pytest
 
-from repro.analysis import evaluate_corpus
 from repro.analysis.engine import EvaluationEngine
 from repro.core.stats import Counters
 from repro.machine import cydra5
 from repro.obs import ObsContext
+from repro.obs.schema import records_from_snapshot
 from repro.workloads import build_corpus
+from tests.conftest import export_counters
 
 
 @pytest.fixture(scope="module")
@@ -30,12 +31,9 @@ def corpus(machine):
     return build_corpus(machine, n_synthetic=12, seed=9)
 
 
-def _traced_run(machine, corpus, jobs, cache_dir=None, use_cache=False):
+def _traced_run(machine, corpus, jobs, cache_dir=None):
     obs = ObsContext()
-    engine = EvaluationEngine(
-        machine, jobs=jobs, obs=obs,
-        cache_dir=cache_dir, use_cache=use_cache or cache_dir is not None,
-    )
+    engine = EvaluationEngine(machine, jobs=jobs, obs=obs, cache_dir=cache_dir)
     result = engine.evaluate(corpus)
     return obs, result
 
@@ -103,25 +101,35 @@ class TestCountersSurviveTheRunner:
     def test_evaluate_corpus_merges_into_caller_counters(
         self, machine, corpus
     ):
+        """A caller that keeps its own :class:`Counters` merges the run's
+        aggregate into it, with the same totals for any ``jobs``."""
         serial, parallel = Counters(), Counters()
-        evaluate_corpus(corpus, machine, jobs=1, counters=serial)
-        evaluate_corpus(corpus, machine, jobs=2, counters=parallel)
+        serial.merge(
+            EvaluationEngine(machine, jobs=1).evaluate(corpus).counters
+        )
+        parallel.merge(
+            EvaluationEngine(machine, jobs=2).evaluate(corpus).counters
+        )
         assert serial.snapshot() == parallel.snapshot()
         assert serial.ops_scheduled > 0
         assert serial.mindist_inner > 0
 
-    def test_timing_report_carries_the_aggregate(self, machine, corpus):
-        obs, result = _traced_run(machine, corpus, jobs=2)
-        report = result.timing_report()
-        assert report["counters"] == result.counters.snapshot()
-        assert report["counters"]["ops_scheduled"] > 0
-        assert report["metrics"] == obs.metrics.snapshot()
-
     def test_untraced_report_has_no_metrics_block(self, machine, corpus):
-        result = EvaluationEngine(machine, jobs=1).evaluate(corpus)
-        report = result.timing_report()
-        assert report["metrics"] is None
-        assert report["counters"]["ops_scheduled"] > 0
+        """Without an ObsContext the run exports no metrics, yet the
+        result still aggregates the counters."""
+        engine = EvaluationEngine(machine, jobs=1)
+        result = engine.evaluate(corpus)
+        records = records_from_snapshot(engine.obs.to_dict())
+        assert [r for r in records if r["type"] == "metric"] == []
+        assert result.counters.ops_scheduled > 0
+
+    def test_export_carries_the_aggregate(self, machine, corpus):
+        """Every aggregated counter is an ``algo.*`` metric of the export."""
+        obs, result = _traced_run(machine, corpus, jobs=2)
+        exported = export_counters(records_from_snapshot(obs.to_dict()))
+        for name, value in result.counters.snapshot().items():
+            assert exported.get("algo." + name, 0) == value
+        assert exported["algo.ops_scheduled"] > 0
 
 
 class TestSpanCoverage:
@@ -137,7 +145,7 @@ class TestSpanCoverage:
     def test_snapshot_round_trips_the_engine_boundary(self, machine, corpus):
         """Worker snapshots crossed a process boundary; the merged record
         still schema-validates end to end."""
-        from repro.obs.schema import records_from_snapshot, validate_records
+        from repro.obs.schema import validate_records
 
         obs, _ = _traced_run(machine, corpus, jobs=2)
         assert validate_records(records_from_snapshot(obs.to_dict())) == []

@@ -1,6 +1,6 @@
 """Property: parallel evaluation is bit-identical to the serial path.
 
-``evaluate_corpus(jobs=N)`` must return exactly the records the serial
+``EvaluationEngine(jobs=N)`` must return exactly the records the serial
 path returns — same order, same canonical serialized bytes — for any
 worker count.  Both paths round-trip through the engine's JSON payload,
 so equality is checked on the canonical (sorted-key) serialization, which
@@ -13,7 +13,6 @@ import json
 
 import pytest
 
-from repro.analysis import evaluate_corpus
 from repro.analysis.engine import EvaluationEngine, evaluation_to_dict
 from repro.machine import cydra5
 from repro.workloads import build_corpus
@@ -33,7 +32,8 @@ def corpus(machine):
 @pytest.fixture(scope="module")
 def serial_bytes(machine, corpus):
     """Canonical serialization of every record from the serial path."""
-    evaluations = evaluate_corpus(corpus, machine, jobs=1)
+    result = EvaluationEngine(machine, jobs=1).evaluate(corpus)
+    evaluations = result.evaluations
     assert len(evaluations) == len(corpus)
     return [
         json.dumps(evaluation_to_dict(e, machine), sort_keys=True)
@@ -45,7 +45,8 @@ def serial_bytes(machine, corpus):
 def test_parallel_is_bit_identical_to_serial(
     machine, corpus, serial_bytes, jobs
 ):
-    evaluations = evaluate_corpus(corpus, machine, jobs=jobs)
+    result = EvaluationEngine(machine, jobs=jobs).evaluate(corpus)
+    evaluations = result.evaluations
     assert [e.loop.name for e in evaluations] == [l.name for l in corpus]
     parallel_bytes = [
         json.dumps(evaluation_to_dict(e, machine), sort_keys=True)

@@ -314,6 +314,28 @@ class TestTransientRetries:
         assert entries[0]["loop"] == corpus[2].name
         assert entries[0]["attempts"] == 2
 
+    def test_no_quarantine_file_quarantines_nothing(self, machine):
+        """``quarantined`` counts the loops written to quarantine.json:
+        with no file (no cache, no path) the result and the export agree
+        on zero, however many loops a crash took down."""
+        corpus = build_corpus(
+            machine, n_synthetic=20, seed=5, include_kernels=False
+        )
+        obs = ObsContext()
+        engine = EvaluationEngine(
+            machine,
+            jobs=2,
+            obs=obs,
+            retry_policy=RetryPolicy(max_retries=0),
+            fault_plan=parse_fault_spec("crash@3"),
+        )
+        assert engine.quarantine_path is None
+        result = engine.evaluate(corpus)
+        assert result.crashes and result.failures
+        assert result.quarantined == 0
+        counters = obs.metrics.snapshot()["counters"]
+        assert "resilience.quarantined" not in counters
+
     def test_deterministic_failure_is_never_retried(
         self, machine, corpus, tmp_path
     ):

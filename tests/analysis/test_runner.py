@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.analysis import evaluate_corpus, evaluate_loop, render_series, render_table
+from repro.analysis import (
+    EvaluationEngine,
+    evaluate_loop,
+    render_series,
+    render_table,
+)
 from repro.ir import DependenceGraph, DependenceKind
 from repro.machine import cydra5
 from repro.workloads import build_corpus
@@ -21,7 +26,8 @@ def corpus(machine):
 
 @pytest.fixture(scope="module")
 def evaluations(machine, corpus):
-    return evaluate_corpus(corpus, machine, budget_ratio=6.0)
+    result = EvaluationEngine(machine, budget_ratio=6.0).evaluate(corpus)
+    return result.evaluations
 
 
 class TestEvaluation:
@@ -98,14 +104,3 @@ class TestReportRendering:
         )
         assert "ratio" in text
         assert "0.0500" in text
-
-    def test_render_phase_summary_orders_and_pins_total(self):
-        from repro.analysis import render_phase_summary
-
-        text = render_phase_summary(
-            {"scheduling": 2.0, "mindist": 3.0, "total": 5.0}
-        )
-        lines = text.splitlines()
-        assert lines[0] == "engine phase seconds:"
-        body = [line.split()[0] for line in lines[3:]]
-        assert body == ["mindist", "scheduling", "total"]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis import evaluate_corpus, table3_rows
+from repro.analysis import EvaluationEngine, table3_rows
 from repro.machine import cydra5
 from repro.workloads import build_corpus
 
@@ -11,7 +11,8 @@ from repro.workloads import build_corpus
 def rows():
     machine = cydra5()
     corpus = build_corpus(machine, n_synthetic=20, seed=11)
-    return table3_rows(evaluate_corpus(corpus, machine, budget_ratio=6.0))
+    result = EvaluationEngine(machine, budget_ratio=6.0).evaluate(corpus)
+    return table3_rows(result.evaluations)
 
 
 class TestTable3Rows:

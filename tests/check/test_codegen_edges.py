@@ -18,12 +18,12 @@ import pytest
 
 from repro.check import check_schedule
 from repro.check.codegen import check_codegen
-from repro.check.mutate import _clone
 from repro.codegen import compute_lifetimes, modulo_variable_expansion
 from repro.core import modulo_schedule
 from repro.loopir import compile_loop_full
 from repro.machine import cydra5, single_alu_machine
 from repro.simulator import check_equivalence
+from tests.check.mutate import _clone
 
 DOT = "for i in n:\n    s = s + x[i] * y[i]\n"
 IIR2 = "for i in n:\n    y[i] = a0 * x[i] + b1 * y[i-1] + b2 * y[i-2]\n"

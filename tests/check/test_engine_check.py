@@ -41,7 +41,7 @@ class TestStrictRun:
         machine = single_alu_machine()
         corpus = _small_corpus(machine)
         obs = ObsContext()
-        engine = EvaluationEngine(machine, use_cache=False, check=True, obs=obs)
+        engine = EvaluationEngine(machine, check=True, obs=obs)
         result = engine.evaluate(corpus)
         assert result.ok
         counters = obs.to_dict()["metrics"]["counters"]
@@ -55,7 +55,7 @@ class TestStrictRun:
         machine = single_alu_machine()
         corpus = _small_corpus(machine, n=2)
         obs = ObsContext()
-        engine = EvaluationEngine(machine, use_cache=False, obs=obs)
+        engine = EvaluationEngine(machine, obs=obs)
         engine.evaluate(corpus)
         counters = obs.to_dict()["metrics"]["counters"]
         assert not any(name.startswith("check.") for name in counters)
@@ -114,7 +114,6 @@ class TestStrictRun:
         corpus = _small_corpus(machine)
         engine = EvaluationEngine(
             machine,
-            use_cache=False,
             check=True,
             budget_ratio=1.0,
             loop_timeout=0.000001,  # force the ladder on every loop

@@ -1,6 +1,6 @@
 """Negative-path regression: every diagnostic code fires where expected.
 
-Each mutant in :mod:`repro.check.mutate` corrupts one production artifact
+Each mutant in :mod:`tests.check.mutate` corrupts one production artifact
 in one targeted way; the suite asserts (a) the registry covers every code
 that has a checker, (b) each mutant trips exactly its code, and (c) the
 uncorrupted base fixtures are clean — so it is the mutation, not the
@@ -11,7 +11,7 @@ import pytest
 
 from repro.check import CODES, check_schedule
 from repro.check.diagnostics import Severity
-from repro.check.mutate import (
+from tests.check.mutate import (
     DOT_SOURCE,
     MUTANTS,
     MUTANTS_BY_CODE,

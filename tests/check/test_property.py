@@ -14,12 +14,12 @@ import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
 from repro.check import check_schedule
-from repro.check.mutate import DOT_SOURCE, RECURRENCE_SOURCE, _clone
 from repro.core import modulo_schedule
 from repro.ir.edges import DependenceKind
 from repro.loopir import compile_loop_full
 from repro.machine import single_alu_machine, two_alu_machine
 from repro.simulator import check_equivalence
+from tests.check.mutate import DOT_SOURCE, RECURRENCE_SOURCE, _clone
 
 _SETTINGS = settings(
     max_examples=60,

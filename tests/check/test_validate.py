@@ -11,7 +11,6 @@ import pytest
 from repro.baselines import list_schedule
 from repro.check import check_schedule
 from repro.core import modulo_schedule
-from repro.core.validate import assert_valid_schedule, validate_schedule
 from repro.loopir import compile_loop_full
 from repro.machine import cydra5, single_alu_machine, two_alu_machine
 
@@ -62,11 +61,14 @@ class TestAcceptance:
 
 
 class TestLegacyStringApi:
+    """The retired ``validate_schedule`` returned each finding's message;
+    the diagnostics carry the same messages."""
+
     def test_validate_schedule_returns_messages(self):
         machine = single_alu_machine()
         lowered = compile_loop_full(DOT, machine)
         result = modulo_schedule(lowered.graph, machine)
-        assert validate_schedule(lowered.graph, machine, result.schedule) == []
+        assert list(check_schedule(lowered.graph, machine, result.schedule)) == []
         bad_times = dict(result.schedule.times)
         bad_times[lowered.graph.START] = 3
         from repro.core.schedule import Schedule
@@ -75,17 +77,17 @@ class TestLegacyStringApi:
             lowered.graph, result.schedule.ii, bad_times,
             dict(result.schedule.alternatives),
         )
-        problems = validate_schedule(lowered.graph, machine, bad)
-        assert any("START" in p for p in problems)
-        with pytest.raises(AssertionError):
-            assert_valid_schedule(lowered.graph, machine, bad)
+        diags = check_schedule(lowered.graph, machine, bad)
+        messages = [d.message for d in diags]
+        assert "START scheduled at 3, expected 0" in messages
+        assert not diags.ok
 
     def test_diagnostics_carry_edge_identity(self):
         """SCHED005 names the edge: op ids, kind, distance, delay."""
         machine = single_alu_machine()
         lowered = compile_loop_full(DOT, machine)
         result = modulo_schedule(lowered.graph, machine)
-        from repro.check.mutate import mutant
+        from tests.check.mutate import mutant
 
         diags = mutant("squeezed-edge").run()
         finding = next(d for d in diags if d.code == "SCHED005")

@@ -58,6 +58,15 @@ def traced_peak(function, *args, **kwargs):
     return result, peak
 
 
+def export_counters(records):
+    """The counter metrics of ``repro.obs.v2`` records, by name."""
+    return {
+        record["name"]: record["value"]
+        for record in records
+        if record["type"] == "metric" and record["kind"] == "counter"
+    }
+
+
 @pytest.fixture
 def alu():
     return single_alu_machine()

@@ -2,11 +2,8 @@
 
 import pytest
 
-from repro.core import (
-    assert_valid_schedule,
-    modulo_schedule,
-    validate_schedule,
-)
+from repro.check import check_schedule
+from repro.core import modulo_schedule
 from repro.core.instruction_scheduler import InstructionDrivenScheduler
 from repro.ir import DependenceGraph, DependenceKind
 from repro.loopir import compile_loop_full
@@ -27,12 +24,12 @@ class TestBasics:
         graph = chain_graph(alu, ["fadd"] * 4)
         result = modulo_schedule(graph, alu, style="instruction")
         assert result.ii == result.mii_result.mii
-        assert_valid_schedule(graph, alu, result.schedule)
+        assert not check_schedule(graph, alu, result.schedule).errors
 
     def test_recurrence(self, alu):
         graph = cross_iteration_graph(alu, distance=1)
         result = modulo_schedule(graph, alu, style="instruction")
-        assert_valid_schedule(graph, alu, result.schedule)
+        assert not check_schedule(graph, alu, result.schedule).errors
 
     def test_start_pinned(self, alu):
         graph = reduction_graph(alu)
@@ -70,7 +67,7 @@ class TestBasics:
             graph.add_operation("fadd", dest=f"a{i}")
         graph.seal()
         result = modulo_schedule(graph, machine, style="instruction")
-        assert_valid_schedule(graph, machine, result.schedule)
+        assert not check_schedule(graph, machine, result.schedule).errors
 
 
 class TestAgainstKernels:
@@ -83,7 +80,7 @@ class TestAgainstKernels:
         result = modulo_schedule(
             lowered.graph, machine, budget_ratio=6.0, style="instruction"
         )
-        assert validate_schedule(lowered.graph, machine, result.schedule) == []
+        assert not check_schedule(lowered.graph, machine, result.schedule).errors
         report = check_equivalence(lowered, result.schedule, n=21, seed=9)
         assert report.ok, report.describe()
 

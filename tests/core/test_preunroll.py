@@ -2,8 +2,8 @@
 
 import pytest
 
+from repro.check import check_schedule
 from repro.core import (
-    assert_valid_schedule,
     compute_mii,
     modulo_schedule,
     recommend_unroll,
@@ -68,7 +68,7 @@ class TestUnrollForModulo:
         graph = _fractional_recurrence(alu)
         unrolled = unroll_for_modulo(graph, 2)
         result = modulo_schedule(unrolled, alu, budget_ratio=6.0)
-        assert_valid_schedule(unrolled, alu, result.schedule)
+        assert not check_schedule(unrolled, alu, result.schedule).errors
 
 
 class TestRecommendation:

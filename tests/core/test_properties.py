@@ -8,13 +8,13 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
+from repro.check import check_schedule
 from repro.core import (
     compute_mii,
     compute_mindist,
     height_r,
     mindist_feasible,
     modulo_schedule,
-    validate_schedule,
 )
 from repro.core.mindist import NO_PATH
 from repro.baselines import list_schedule
@@ -68,7 +68,7 @@ class TestSchedulerProperties:
     def test_schedule_is_always_valid(self, machine_graph):
         machine, graph = machine_graph
         result = modulo_schedule(graph, machine, budget_ratio=6.0)
-        assert validate_schedule(graph, machine, result.schedule) == []
+        assert not check_schedule(graph, machine, result.schedule).errors
 
     @given(random_graphs())
     @_SETTINGS

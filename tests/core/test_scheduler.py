@@ -2,11 +2,11 @@
 
 import pytest
 
+from repro.check import check_schedule
 from repro.core import (
     Counters,
     IterativeScheduler,
     SchedulingFailure,
-    assert_valid_schedule,
     compute_mii,
     modulo_schedule,
 )
@@ -31,7 +31,7 @@ class TestBasicScheduling:
         graph = chain_graph(alu, ["fadd"] * 4)
         result = modulo_schedule(graph, alu)
         assert result.ii == result.mii_result.mii == 4
-        assert_valid_schedule(graph, alu, result.schedule)
+        assert not check_schedule(graph, alu, result.schedule).errors
 
     def test_start_pinned_at_zero(self, alu):
         graph = chain_graph(alu, ["fadd", "fmul"])
@@ -47,7 +47,7 @@ class TestBasicScheduling:
         graph = cross_iteration_graph(alu, distance=1)  # RecMII 4
         result = modulo_schedule(graph, alu)
         assert result.ii == 4
-        assert_valid_schedule(graph, alu, result.schedule)
+        assert not check_schedule(graph, alu, result.schedule).errors
 
     def test_independent_ops_overlap_on_two_alus(self):
         machine = two_alu_machine()
@@ -57,7 +57,7 @@ class TestBasicScheduling:
         graph.seal()
         result = modulo_schedule(graph, machine)
         assert result.ii == 2
-        assert_valid_schedule(graph, machine, result.schedule)
+        assert not check_schedule(graph, machine, result.schedule).errors
 
     def test_result_properties(self, alu):
         graph = chain_graph(alu, ["fadd"] * 3)
@@ -84,7 +84,7 @@ class TestModuloConstraint:
         # (mul at t, add at t+1) must both be avoided mod II.
         assert (times[a] - times[b]) % ii != 0
         assert (times[b] - times[a]) % ii != 1
-        assert_valid_schedule(graph, machine, result.schedule)
+        assert not check_schedule(graph, machine, result.schedule).errors
 
     def test_self_conflicting_ii_skipped(self):
         """Cydra loads cannot be placed at II=19 (port busy at 0 and 19);
@@ -101,7 +101,7 @@ class TestModuloConstraint:
         graph.seal()
         result = modulo_schedule(graph, machine)
         assert result.ii >= 20  # II=19 is structurally impossible
-        assert_valid_schedule(graph, machine, result.schedule)
+        assert not check_schedule(graph, machine, result.schedule).errors
 
 
 class TestBudget:
@@ -127,7 +127,7 @@ class TestBudget:
         tight = modulo_schedule(graph, machine, budget_ratio=1.0)
         loose = modulo_schedule(graph, machine, budget_ratio=8.0)
         assert loose.ii <= tight.ii
-        assert_valid_schedule(graph, machine, tight.schedule)
+        assert not check_schedule(graph, machine, tight.schedule).errors
 
     def test_max_ii_exhaustion_raises(self, alu):
         graph = cross_iteration_graph(alu, distance=1)  # needs II 4
@@ -150,7 +150,7 @@ class TestIterativeBehavior:
         result = modulo_schedule(
             graph, machine, budget_ratio=8.0, counters=counters
         )
-        assert_valid_schedule(graph, machine, result.schedule)
+        assert not check_schedule(graph, machine, result.schedule).errors
         # Not asserting a specific count, but the run must be recorded.
         assert counters.ops_scheduled >= graph.n_ops
 
@@ -182,7 +182,7 @@ class TestAgainstCydra:
         machine = cydra5()
         graph = chain_graph(machine, ["fadd"] * n_ops)
         result = modulo_schedule(graph, machine)
-        assert_valid_schedule(graph, machine, result.schedule)
+        assert not check_schedule(graph, machine, result.schedule).errors
         # One adder: II cannot beat the op count.
         assert result.ii >= n_ops
 
@@ -193,7 +193,7 @@ class TestAgainstCydra:
             graph.add_operation("load", dest=f"v{i}")
         graph.seal()
         result = modulo_schedule(graph, machine)
-        assert_valid_schedule(graph, machine, result.schedule)
+        assert not check_schedule(graph, machine, result.schedule).errors
         ports = {
             result.schedule.alternatives[op].name
             for op in range(1, 5)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.core import Schedule, modulo_schedule, validate_schedule
-from repro.core.validate import assert_valid_schedule
+from repro.check import check_schedule
+from repro.core import Schedule, modulo_schedule
 from repro.ir import DependenceGraph, DependenceKind
 from repro.machine import single_alu_machine
 
@@ -25,11 +25,13 @@ def scheduled(alu):
 class TestAccepts:
     def test_valid_schedule_passes(self, alu, scheduled):
         graph, schedule = scheduled
-        assert validate_schedule(graph, alu, schedule) == []
+        assert list(check_schedule(graph, alu, schedule)) == []
 
     def test_assert_valid_does_not_raise(self, alu, scheduled):
+        """Asserting ``ok``, with the rendered findings as the message."""
         graph, schedule = scheduled
-        assert_valid_schedule(graph, alu, schedule)
+        diags = check_schedule(graph, alu, schedule)
+        assert diags.ok, diags.render()
 
 
 class TestRejects:
@@ -38,24 +40,24 @@ class TestRejects:
         times = dict(schedule.times)
         del times[1]
         broken = Schedule(graph, schedule.ii, times, dict(schedule.alternatives))
-        problems = validate_schedule(graph, alu, broken)
-        assert any("not scheduled" in p for p in problems)
+        diags = check_schedule(graph, alu, broken)
+        assert any("not scheduled" in d.message for d in diags)
 
     def test_start_not_at_zero(self, alu, scheduled):
         graph, schedule = scheduled
         times = dict(schedule.times)
         times[graph.START] = 1
         broken = Schedule(graph, schedule.ii, times, dict(schedule.alternatives))
-        problems = validate_schedule(graph, alu, broken)
-        assert any("START" in p for p in problems)
+        diags = check_schedule(graph, alu, broken)
+        assert any("START" in d.message for d in diags)
 
     def test_dependence_violation(self, alu, scheduled):
         graph, schedule = scheduled
         times = dict(schedule.times)
         times[2] = times[1]  # consumer issued with its producer
         broken = Schedule(graph, schedule.ii, times, dict(schedule.alternatives))
-        problems = validate_schedule(graph, alu, broken)
-        assert any("dependence violated" in p for p in problems)
+        diags = check_schedule(graph, alu, broken)
+        assert any("dependence violated" in d.message for d in diags)
 
     def test_modulo_resource_violation(self, alu):
         graph = chain_graph(alu, ["fadd", "fadd"])
@@ -66,24 +68,24 @@ class TestRejects:
         broken = Schedule(
             graph, result.ii, times, dict(result.schedule.alternatives)
         )
-        problems = validate_schedule(graph, alu, broken)
-        assert any("modulo constraint" in p for p in problems)
+        diags = check_schedule(graph, alu, broken)
+        assert any("modulo constraint" in d.message for d in diags)
 
     def test_negative_time(self, alu, scheduled):
         graph, schedule = scheduled
         times = dict(schedule.times)
         times[1] = -1
         broken = Schedule(graph, schedule.ii, times, dict(schedule.alternatives))
-        problems = validate_schedule(graph, alu, broken)
-        assert any("negative" in p for p in problems)
+        diags = check_schedule(graph, alu, broken)
+        assert any("negative" in d.message for d in diags)
 
     def test_missing_alternative(self, alu, scheduled):
         graph, schedule = scheduled
         alts = dict(schedule.alternatives)
         alts[1] = None
         broken = Schedule(graph, schedule.ii, dict(schedule.times), alts)
-        problems = validate_schedule(graph, alu, broken)
-        assert any("no reservation alternative" in p for p in problems)
+        diags = check_schedule(graph, alu, broken)
+        assert any("no reservation alternative" in d.message for d in diags)
 
     def test_foreign_alternative(self, alu, scheduled):
         from repro.machine import ReservationTable
@@ -92,8 +94,8 @@ class TestRejects:
         alts = dict(schedule.alternatives)
         alts[1] = ReservationTable("fake", [("alu", 0)])
         broken = Schedule(graph, schedule.ii, dict(schedule.times), alts)
-        problems = validate_schedule(graph, alu, broken)
-        assert any("not belonging" in p for p in problems)
+        diags = check_schedule(graph, alu, broken)
+        assert any("not belonging" in d.message for d in diags)
 
     def test_interiteration_violation(self, alu):
         graph = reduction_graph(alu)
@@ -103,14 +105,17 @@ class TestRejects:
         broken = Schedule(
             graph, 1, dict(result.schedule.times), dict(result.schedule.alternatives)
         )
-        problems = validate_schedule(graph, alu, broken)
-        assert problems  # at least the resource fold or a dependence
+        diags = check_schedule(graph, alu, broken)
+        assert not diags.ok  # at least the resource fold or a dependence
 
     def test_assert_raises_with_details(self, alu, scheduled):
+        """The rendered findings name the code and the violation."""
         graph, schedule = scheduled
         times = dict(schedule.times)
         times[graph.START] = 5
         broken = Schedule(graph, schedule.ii, times, dict(schedule.alternatives))
+        diags = check_schedule(graph, alu, broken)
         with pytest.raises(AssertionError) as excinfo:
-            assert_valid_schedule(graph, alu, broken)
+            assert diags.ok, diags.render()
+        assert "SCHED003" in str(excinfo.value)
         assert "START" in str(excinfo.value)

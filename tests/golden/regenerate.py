@@ -95,9 +95,7 @@ def compute_records() -> List[Dict[str, Any]]:
 
     records: List[Dict[str, Any]] = []
     for machine_name, machine, corpus in golden_corpora():
-        engine = EvaluationEngine(
-            machine, jobs=1, use_cache=False, budget_ratio=6.0
-        )
+        engine = EvaluationEngine(machine, jobs=1, budget_ratio=6.0)
         result = engine.evaluate(corpus)
         by_name = {e.loop.name: e for e in result.evaluations}
         failed = {f.loop_name: f for f in result.failures}

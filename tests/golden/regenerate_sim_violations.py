@@ -38,7 +38,7 @@ def _record(case: str, report) -> Dict[str, Any]:
 
 def _sim002_mutant():
     """The ``early-consumer`` mutant: a consumer at its producer's cycle."""
-    from repro.check.mutate import DOT_SOURCE, _clone, _flow_edge, _scheduled
+    from tests.check.mutate import DOT_SOURCE, _clone, _flow_edge, _scheduled
     from repro.simulator import check_equivalence
 
     lowered, schedule = _scheduled("cydra5", DOT_SOURCE)
@@ -68,7 +68,7 @@ def _saxpy_broken_times():
 def _consumer_before_producer():
     """A distance-0 consumer moved one cycle ahead of its producer's
     issue, with the readiness check off: the read finds no value yet."""
-    from repro.check.mutate import DOT_SOURCE, _clone, _scheduled
+    from tests.check.mutate import DOT_SOURCE, _clone, _scheduled
     from repro.simulator import check_equivalence
 
     lowered, schedule = _scheduled("cydra5", DOT_SOURCE)
@@ -88,7 +88,7 @@ def _consumer_before_producer():
 
 def _sim001_mutant():
     """The ``stale-store`` mutant: a store deferred five IIs."""
-    from repro.check.mutate import RECURRENCE_SOURCE, _clone, _scheduled
+    from tests.check.mutate import RECURRENCE_SOURCE, _clone, _scheduled
     from repro.simulator import check_equivalence
 
     lowered, schedule = _scheduled("cydra5", RECURRENCE_SOURCE)

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.core import modulo_schedule, validate_schedule
+from repro.check import check_schedule
+from repro.core import modulo_schedule
 from repro.ir import (
     DependenceGraph,
     GraphError,
@@ -92,7 +93,7 @@ class TestScheduleRoundTrip:
         clone = schedule_from_json(text, machine)
         assert clone.ii == result.ii
         assert clone.times == result.schedule.times
-        assert validate_schedule(clone.graph, machine, clone) == []
+        assert not check_schedule(clone.graph, machine, clone).errors
 
     def test_reloaded_schedule_still_simulates(self):
         """A reloaded graph keeps enough metadata to re-execute — the

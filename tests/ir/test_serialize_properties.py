@@ -3,7 +3,8 @@
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
-from repro.core import compute_mii, modulo_schedule, validate_schedule
+from repro.check import check_schedule
+from repro.core import compute_mii, modulo_schedule
 from repro.ir import (
     graph_from_json,
     graph_to_json,
@@ -49,7 +50,7 @@ class TestRoundTripProperties:
             schedule_to_json(result.schedule, machine), machine
         )
         assert clone.times == result.schedule.times
-        assert validate_schedule(clone.graph, machine, clone) == []
+        assert not check_schedule(clone.graph, machine, clone).errors
 
     @given(st.integers(min_value=0, max_value=5000))
     @_SETTINGS

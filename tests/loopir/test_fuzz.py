@@ -12,7 +12,8 @@ import os
 import hypothesis.strategies as st
 from hypothesis import HealthCheck, given, settings
 
-from repro.core import modulo_schedule, validate_schedule
+from repro.check import check_schedule
+from repro.core import modulo_schedule
 from repro.loopir.ast import (
     ArrayRef,
     Assign,
@@ -133,7 +134,7 @@ class TestWholeStack:
         machine = cydra5()
         lowered = lower_loop(loop, if_convert(loop), machine)
         result = modulo_schedule(lowered.graph, machine, budget_ratio=6.0)
-        assert validate_schedule(lowered.graph, machine, result.schedule) == []
+        assert not check_schedule(lowered.graph, machine, result.schedule).errors
         report = check_equivalence(lowered, result.schedule, n=n, seed=13)
         assert report.ok, report.describe() + "\n" + lowered.graph.describe()
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import compute_mii, modulo_schedule, validate_schedule
+from repro.check import check_schedule
+from repro.core import compute_mii, modulo_schedule
 from repro.ir import DependenceKind
 from repro.loopir import ParseError, compile_loop_full, parse_loop
 from repro.loopir.ast import ArrayRef, IndirectRef, IndirectStore
@@ -132,7 +133,7 @@ class TestEndToEnd:
         machine = machine_factory()
         lowered = compile_loop_full(source, machine, name=name)
         result = modulo_schedule(lowered.graph, machine, budget_ratio=6.0)
-        assert validate_schedule(lowered.graph, machine, result.schedule) == []
+        assert not check_schedule(lowered.graph, machine, result.schedule).errors
         for seed in (0, 3):
             report = check_equivalence(lowered, result.schedule, n=33, seed=seed)
             assert report.ok, report.describe()

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import compute_mii, modulo_schedule, validate_schedule
+from repro.check import check_schedule
+from repro.core import compute_mii, modulo_schedule
 from repro.loopir import compile_loop_full, parse_loop
 from repro.loopir.ast import Compare
 from repro.machine import cydra5, single_alu_machine
@@ -95,7 +96,7 @@ class TestSemantics:
             name="while_threshold",
         )
         result = modulo_schedule(lowered.graph, machine, budget_ratio=6.0)
-        assert validate_schedule(lowered.graph, machine, result.schedule) == []
+        assert not check_schedule(lowered.graph, machine, result.schedule).errors
         report = check_equivalence(lowered, result.schedule, n=31, seed=seed)
         assert report.ok, report.describe()
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import modulo_schedule, validate_schedule
+from repro.check import check_schedule
+from repro.core import modulo_schedule
 from repro.machine import (
     MachineError,
     bus_conflict_machine,
@@ -52,7 +53,7 @@ class TestRoundTrip:
         clone = machine_from_json(machine_to_json(machine))
         graph = reduction_graph(clone)
         result = modulo_schedule(graph, clone)
-        assert validate_schedule(graph, clone, result.schedule) == []
+        assert not check_schedule(graph, clone, result.schedule).errors
         reference = modulo_schedule(reduction_graph(machine), machine)
         assert result.ii == reference.ii
 

@@ -15,7 +15,6 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.check.mutate import DOT_SOURCE, RECURRENCE_SOURCE, _clone
 from repro.core import modulo_schedule
 from repro.loopir import compile_loop_full
 from repro.machine import (
@@ -27,6 +26,7 @@ from repro.machine import (
 from repro.simulator import make_initial_state, run_pipelined
 from repro.simulator.pipeline import _Plan
 from repro.workloads import KERNELS
+from tests.check.mutate import DOT_SOURCE, RECURRENCE_SOURCE, _clone
 from tests.oracles import pipeline as oracle
 
 _MACHINES = {

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
+from repro.analysis.regression import load_obs_records
 from repro.cli import main
+from tests.conftest import export_counters
 
 
 @pytest.fixture
@@ -89,31 +91,36 @@ class TestCorpus:
         assert code == 0
         assert "jobs=2" in text
 
-    def test_cache_and_timings_flags(self, tmp_path):
+    def test_cache_and_timings_flags(self, tmp_path, capsys):
+        """A warm run is all hits in its --obs-out export; the retired
+        --timings flag is an unrecognized argument."""
         cache = str(tmp_path / "cache")
-        cold_json = str(tmp_path / "cold.json")
-        warm_json = str(tmp_path / "warm.json")
+        warm_export = str(tmp_path / "warm.jsonl")
         argv = ["corpus", "--loops", "70", "--cache-dir", cache]
-        code, text = _run(argv + ["--timings", cold_json])
+        code, text = _run(argv)
         assert code == 0
         assert "0 cache hits" in text
-        assert "scheduling" in text  # the phase summary table
-        code, text = _run(argv + ["--timings", warm_json])
+        code, text = _run(argv + ["--obs-out", warm_export])
         assert code == 0
         assert "0 misses" in text
-        cold = json.load(open(cold_json))
-        warm = json.load(open(warm_json))
-        assert cold["format"] == "repro.engine-timing.v1"
-        assert warm["cache"]["hits"] == warm["n_loops"]
-        assert warm["phase_seconds"].get("scheduling", 0.0) == 0.0
+        records = load_obs_records(warm_export)
+        counters = export_counters(records)
+        assert counters["engine.cache.hits"] == counters["engine.loops"]
+        spans = {r["name"] for r in records if r["type"] == "span"}
+        assert not spans & {"mindist", "scheduling"}
+        with pytest.raises(SystemExit) as exited:
+            main(argv + ["--timings", str(tmp_path / "t.json")])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --timings" in capsys.readouterr().err
 
     def test_no_cache_flag(self, tmp_path):
-        cache = str(tmp_path / "cache")
+        cache = tmp_path / "cache"
         code, text = _run(
-            ["corpus", "--loops", "70", "--cache-dir", cache, "--no-cache"]
+            ["corpus", "--loops", "70", "--cache-dir", str(cache), "--no-cache"]
         )
         assert code == 0
         assert "cache off" in text
+        assert not cache.exists()
 
     def test_verify_flag(self):
         code, text = _run(["corpus", "--loops", "66", "--verify", "8"])

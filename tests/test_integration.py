@@ -14,9 +14,9 @@ from repro import (
     cydra5,
     modulo_schedule,
     single_alu_machine,
-    validate_schedule,
 )
 from repro.baselines import list_schedule, unroll_and_schedule
+from repro.check import check_schedule
 from repro.codegen import (
     allocate_rotating,
     compute_lifetimes,
@@ -54,7 +54,7 @@ def pipeline(machine):
 class TestFullPipeline:
     def test_schedule_statically_valid(self, machine, pipeline):
         lowered, result = pipeline
-        assert validate_schedule(lowered.graph, machine, result.schedule) == []
+        assert not check_schedule(lowered.graph, machine, result.schedule).errors
 
     def test_schedule_semantically_correct(self, pipeline):
         lowered, result = pipeline
@@ -96,7 +96,7 @@ class TestDelayModels:
         graph.seal()
         assert all(e.delay >= 0 for e in graph.edges)
         result = modulo_schedule(graph, machine)
-        assert validate_schedule(graph, machine, result.schedule) == []
+        assert not check_schedule(graph, machine, result.schedule).errors
 
     def test_vliw_model_can_tighten_ii(self):
         """Negative anti delays admit IIs the conservative model may not."""

@@ -18,7 +18,7 @@ but tight enough that a quality regression in the scheduler fails them.
 
 import pytest
 
-from repro.analysis import evaluate_corpus
+from repro.analysis import EvaluationEngine
 from repro.analysis.model import execution_time, execution_time_bound
 from repro.core import modulo_schedule
 from repro.machine import cydra5
@@ -35,7 +35,8 @@ def machine():
 @pytest.fixture(scope="module")
 def evaluations(machine):
     corpus = build_corpus(machine, n_synthetic=235, seed=42)
-    return evaluate_corpus(corpus, machine, budget_ratio=BUDGET_RATIO)
+    engine = EvaluationEngine(machine, budget_ratio=BUDGET_RATIO)
+    return engine.evaluate(corpus).evaluations
 
 
 class TestConclusionOne:

@@ -7,7 +7,8 @@ has no ``aadd``, so no kernel's address recurrence lowers on it.
 
 import pytest
 
-from repro.core import modulo_schedule, validate_schedule
+from repro.check import check_schedule
+from repro.core import modulo_schedule
 from repro.loopir import compile_loop_full
 from repro.machine import (
     cydra5,
@@ -48,7 +49,7 @@ class TestEndToEnd:
         machine = cydra5()
         lowered = compile_loop_full(KERNELS[name].source, machine, name=name)
         result = modulo_schedule(lowered.graph, machine, budget_ratio=6.0)
-        assert validate_schedule(lowered.graph, machine, result.schedule) == []
+        assert not check_schedule(lowered.graph, machine, result.schedule).errors
         assert result.ii >= result.mii_result.mii
         report = check_equivalence(lowered, result.schedule, n=19, seed=11)
         assert report.ok, report.describe()

@@ -4,7 +4,8 @@ import statistics
 
 import pytest
 
-from repro.core import compute_mii, modulo_schedule, validate_schedule
+from repro.check import check_schedule
+from repro.core import compute_mii, modulo_schedule
 from repro.machine import cydra5
 from repro.workloads import SyntheticConfig, synthetic_graph
 
@@ -64,7 +65,7 @@ class TestSchedulability:
         for graph in sample[:60]:
             result = modulo_schedule(graph, machine, budget_ratio=6.0)
             assert (
-                validate_schedule(graph, machine, result.schedule) == []
+                not check_schedule(graph, machine, result.schedule).errors
             ), graph.name
 
     def test_no_zero_distance_circuits(self, machine, sample):
