@@ -103,7 +103,8 @@ from repro.core.scheduler import (
     modulo_schedule,
 )
 from repro.core.stats import Counters
-from repro.ir.serialize import bind_schedule, graph_to_dict, schedule_body
+from repro.ir.graph import GraphError
+from repro.ir.serialize import bind_schedule, schedule_body
 from repro.obs.context import NULL_OBS, ObsContext
 from repro.workloads.corpus import CorpusLoop
 
@@ -111,8 +112,8 @@ from repro.workloads.corpus import CorpusLoop
 #: whenever the meaning of a cached payload changes (new measurements, a
 #: scheduler fix that alters results, a payload schema change) so stale
 #: entries are never resurrected.
-CODE_FORMAT_VERSION = 7  # v7: payloads hold the schedule body without its
-# graph, and keys hash the machine's content key
+CODE_FORMAT_VERSION = 8  # v8: keys hash a one-pass canonical encoding of
+# the graph instead of its canonical JSON
 
 _PAYLOAD_FORMAT = "repro.loop-evaluation.v2"
 
@@ -151,6 +152,38 @@ class StaticCheckError(RuntimeError):
 # Cache keys
 
 
+def _canonical_graph(graph) -> tuple:
+    """The graph content a cache key covers, as one plain-data tuple.
+
+    The same content :func:`repro.ir.serialize.graph_to_dict` serializes,
+    built in one pass: the name and delay model, each real operation's
+    opcode, dest, sources, predicate and attributes (sorted by name),
+    and each edge but START/STOP's bracketing ones.  Its ``repr`` holds
+    only strings, numbers, ``None`` and nested tuples and lists, so it
+    never depends on the interpreter's hash seed.
+    """
+    if not graph.sealed:
+        raise GraphError(f"graph {graph.name!r} must be sealed to key")
+    stop = graph.stop
+    # A sealed graph brackets its real operations with START and STOP.
+    operations = [
+        (
+            operation.opcode,
+            operation.dest,
+            operation.srcs,
+            operation.predicate,
+            sorted(operation.attrs.items()),
+        )
+        for operation in graph.operations[1:-1]
+    ]
+    edges = [
+        (edge.pred, edge.succ, edge.kind.value, edge.distance, edge.delay)
+        for edge in graph.edges
+        if edge.pred != graph.START and edge.succ != stop
+    ]
+    return graph.name, graph.delay_model.value, operations, edges
+
+
 def cache_key(
     loop: Union[CorpusLoop, Any],
     machine,
@@ -161,13 +194,14 @@ def cache_key(
 ) -> str:
     """Stable, content-addressed key for one loop evaluation.
 
-    The key is the SHA-256 of a canonical JSON document covering
-    everything the evaluation's outcome depends on: the loop's dependence
-    graph, the machine's :attr:`~repro.machine.MachineDescription.content_key`
-    (a memoized hash of its latencies and reservation tables), the
-    scheduler configuration, and :data:`CODE_FORMAT_VERSION`.  It is
-    stable across processes and interpreter restarts (no reliance on
-    ``hash()``), and any semantic mutation of an input changes it.
+    The key is the SHA-256 of a canonical encoding of everything the
+    evaluation's outcome depends on: the loop's dependence graph
+    (:func:`_canonical_graph`), the machine's
+    :attr:`~repro.machine.MachineDescription.content_key` (a memoized
+    hash of its latencies and reservation tables), the scheduler
+    configuration, and :data:`CODE_FORMAT_VERSION`.  It is stable across
+    processes and interpreter restarts (no reliance on ``hash()``), and
+    any semantic mutation of an input changes it.
 
     ``loop`` may be a :class:`CorpusLoop` or a bare dependence graph; the
     execution profile (``entry_freq``/``loop_freq``) is deliberately *not*
@@ -175,19 +209,16 @@ def cache_key(
     schedule, and is re-attached from the live loop on every load.
     """
     graph = loop.graph if isinstance(loop, CorpusLoop) else loop
-    document = {
-        "version": CODE_FORMAT_VERSION,
-        "graph": graph_to_dict(graph),
-        "machine": machine.content_key,
-        "config": {
-            "backend": backend,
-            "budget_ratio": budget_ratio,
-            "exact_mii": exact_mii,
-            "verify_iterations": verify_iterations,
-        },
-    }
-    text = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    document = (
+        CODE_FORMAT_VERSION,
+        machine.content_key,
+        backend,
+        budget_ratio,
+        exact_mii,
+        verify_iterations,
+        _canonical_graph(graph),
+    )
+    return hashlib.sha256(repr(document).encode("utf-8")).hexdigest()
 
 
 # ----------------------------------------------------------------------

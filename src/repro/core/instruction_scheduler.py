@@ -7,9 +7,12 @@ a current time and scheduling as many operations as possible at that time
 before moving on to the next time slot", and notes either style fits the
 iterative framework, the operation style merely "seems more natural".
 
-This module implements the instruction-driven style inside the same
+:class:`InstructionDrivenScheduler` runs that style inside the same
 iterative framework so the two can be compared (see
-``benchmarks/bench_ablation_scheduling_style.py``):
+``benchmarks/bench_ablation_scheduling_style.py``).  It is the
+time-cursor branch of :meth:`repro.core.scheduler.IterativeScheduler.run`,
+on the same per-attempt tables and with the same Estart, placement and
+displacement:
 
 * a time cursor sweeps forward; at each cycle, ready operations (Estart
   reached) are placed greedily in priority order while they fit;
@@ -25,130 +28,10 @@ iterative framework so the two can be compared (see
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-from repro.core.scheduler import IterativeScheduler, _AttemptResult
-from repro.machine.resources import ReservationTable
+from repro.core.scheduler import IterativeScheduler
 
 
 class InstructionDrivenScheduler(IterativeScheduler):
     """IterativeSchedule with a time cursor instead of a priority pop."""
 
-    def run(self, budget: int) -> _AttemptResult:
-        """Attempt to schedule every operation within ``budget`` steps."""
-        graph = self.graph
-        prepared = self._prepare()
-        if prepared is not None:
-            return prepared
-        steps = 0
-        self._place(graph.START, 0, None)
-        steps += 1
-
-        time = 0
-        while self._unscheduled and steps < budget:
-            if self.deadline is not None and (steps & 31) == 0:
-                self.deadline.check("scheduling")
-            placed_someone = False
-            # Ready operations at this cycle, most critical first.
-            ready = sorted(
-                (
-                    op
-                    for op in self._unscheduled
-                    if self._calculate_early_start(op) <= time
-                ),
-                key=lambda op: (-self.heights[op], op),
-            )
-            for op in ready:
-                if steps >= budget:
-                    break
-                if op not in self._unscheduled:
-                    continue  # displaced by an earlier placement this cycle
-                if self._calculate_early_start(op) > time:
-                    # An earlier placement this cycle was a predecessor;
-                    # the operation is no longer ready at this time.
-                    continue
-                slot_alt = self._fits_at(op, time)
-                if slot_alt is None:
-                    continue
-                if self.trace is not None:
-                    self.trace.pick(op, time)
-                self._schedule(op, time, slot_alt)
-                steps += 1
-                placed_someone = True
-            if not self._unscheduled or steps >= budget:
-                break
-            # Force progress for any operation whose window has closed:
-            # every slot in [Estart, Estart + II) has now been swept.
-            overdue = [
-                op
-                for op in self._unscheduled
-                if time - self._calculate_early_start(op) >= self.ii - 1
-            ]
-            if overdue:
-                op = min(overdue, key=lambda o: (-self.heights[o], o))
-                estart = self._calculate_early_start(op)
-                if self.trace is not None:
-                    self.trace.pick(op, estart)
-                slot, alternative = self._forced_slot(op, estart)
-                self._schedule(op, slot, alternative)
-                steps += 1
-                time = max(time, slot)
-                continue
-            if not placed_someone:
-                time += 1
-
-        return _AttemptResult(
-            success=not self._unscheduled,
-            times={
-                op: t for op, t in enumerate(self._times) if t is not None
-            },
-            alternatives=dict(self._alts),
-            steps=steps,
-        )
-
-    # ------------------------------------------------------------------
-
-    def _fits_at(
-        self, op: int, time: int
-    ) -> Optional[ReservationTable]:
-        """First conflict-free alternative at exactly this cycle.
-
-        Returns the alternative, or None when nothing fits (pseudo
-        operations always 'fit' and return None through ``_schedule``'s
-        pseudo path, so they are special-cased here).
-        """
-        operation = self.graph.operation(op)
-        if operation.is_pseudo:
-            self.counters.findtimeslot_iters += 1
-            return _PSEUDO_FIT
-        # One findtimeslot_iters tick per (slot, alternative) probe,
-        # matching the operation scheduler's FindTimeSlot accounting.
-        for alternative in self._feasible_alts[operation.opcode]:
-            self.counters.findtimeslot_iters += 1
-            if not self._mrt.conflicts(alternative, time):
-                return alternative
-        return None
-
-    def _forced_slot(self, op: int, estart: int):
-        """Figure 4's fallback for an operation that never found a slot."""
-        operation = self.graph.operation(op)
-        if operation.is_pseudo:
-            return estart, None
-        if op in self._never_scheduled or estart > self._prev_time[op]:
-            return estart, None
-        return self._prev_time[op] + 1, None
-
-    def _schedule(self, op, slot, alternative) -> None:
-        if alternative is _PSEUDO_FIT:
-            alternative = None
-        super()._schedule(op, slot, alternative)
-
-
-class _PseudoFit:
-    """Sentinel: a pseudo-operation 'fits' anywhere without resources."""
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "<pseudo-fit>"
-
-
-_PSEUDO_FIT = _PseudoFit()
+    instruction_driven = True

@@ -24,15 +24,24 @@ paper describes:
   forward-progress rule of Figure 4, and every operation conflicting with
   any of the opcode's alternatives is displaced (Section 3.4), along with
   any dependence-violated successors.
+
+Each attempt (:meth:`IterativeScheduler.run`) is one loop over local
+variables.  It first resolves the sealed graph into flat per-operation
+tables for its II (:func:`_attempt_tables`): feasible alternatives,
+II-resolved predecessor and successor weights, and raw fan-in.  Nothing
+is memoized on the graph.  Estart, placement and displacement are
+defined once, as closures over those tables, and the operation style,
+its greedy ablation and the instruction-driven style all use them.
+Table 4's counters stay in locals and reach ``Counters`` once per
+attempt.  The method-per-step schedulers this replaced are the
+differential oracle in ``tests/oracles/scheduler.py``.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
-
-import numpy as np
+from typing import Any, Dict, List, Optional, Set
 
 from repro.core.deadline import Deadline, check_deadline
 from repro.core.heights import height_r
@@ -262,6 +271,48 @@ PRIORITY_SCHEMES = {
 }
 
 
+def _attempt_tables(graph: DependenceGraph, mask_set, ii: int):
+    """The flat per-operation tables one attempt at ``ii`` runs on.
+
+    Returns ``(alternatives, preds, succs, fan_in)``, each indexed by
+    operation:
+
+    * the opcode's alternatives placeable at this II, or None for
+      START/STOP;
+    * ``(pred, weight)`` and ``(succ, weight)`` pairs for every edge
+      but a self-edge, in insertion order, with the II-resolved weight
+      ``delay - II * distance``;
+    * the raw predecessor count (self-edges included) that Estart bills
+      to ``estart_preds``.
+
+    Complex reservation tables can fold onto themselves at specific IIs
+    (the same resource at offsets differing by a multiple of II); such
+    alternatives were rejected once at mask-compile time.  If an opcode
+    loses every alternative the II is infeasible outright, and None is
+    returned.
+    """
+    n_ops = graph.n_ops
+    alternatives: List[Optional[tuple]] = [None] * n_ops
+    # A sealed graph brackets its real operations with START and STOP.
+    for operation in graph.operations[1:-1]:
+        usable = mask_set.feasible(operation.opcode)
+        if not usable:
+            return None
+        alternatives[operation.index] = usable
+    preds: List[list] = [[] for _ in range(n_ops)]
+    succs: List[list] = [[] for _ in range(n_ops)]
+    fan_in = [0] * n_ops
+    for edge in graph.edges:
+        pred = edge.pred
+        succ = edge.succ
+        fan_in[succ] += 1
+        if pred != succ:
+            weight = edge.delay - ii * edge.distance
+            preds[succ].append((pred, weight))
+            succs[pred].append((succ, weight))
+    return alternatives, preds, succs, fan_in
+
+
 class IterativeScheduler:
     """One invocation of ``IterativeSchedule`` (Figure 3) at a fixed II."""
 
@@ -269,6 +320,12 @@ class IterativeScheduler:
     #: conflicting operations.  The greedy (non-iterative) subclass turns
     #: this off to quantify what iteration itself buys.
     allow_displacement = True
+
+    #: Whether a time cursor picks the operations (the footnote's
+    #: instruction-driven style, see
+    #: :mod:`repro.core.instruction_scheduler`) instead of the priority
+    #: heap.
+    instruction_driven = False
 
     def __init__(
         self,
@@ -297,276 +354,241 @@ class IterativeScheduler:
             ) from None
         self.heights = scheme(graph, ii, self.counters)
 
-    # ------------------------------------------------------------------
-
-    def _prepare(self) -> Optional[_AttemptResult]:
-        """Per-attempt setup shared by both scheduling styles.
-
-        Complex reservation tables can fold onto themselves at specific
-        IIs (same resource at offsets differing by a multiple of II);
-        such alternatives are unplaceable at this II.  If any operation
-        loses every alternative, the II is infeasible outright and a
-        failed attempt is returned; otherwise None.
-        """
-        graph = self.graph
-        mask_set = self.machine.compiled_masks(self.ii)
-        self._mrt = ModuloReservations(self.ii, mask_set)
-        self._feasible_alts: Dict[str, tuple] = {}
-        for operation in graph.real_operations():
-            if operation.opcode in self._feasible_alts:
-                continue
-            # Self-conflicting alternatives were rejected once at
-            # mask-compile time; reuse that verdict per (machine, II).
-            usable = mask_set.feasible(operation.opcode)
-            if not usable:
-                return _AttemptResult(False, {}, {}, 0)
-            self._feasible_alts[operation.opcode] = usable
-        # Hot-loop views: pseudo flags, opcodes, successor edge lists,
-        # and raw predecessor edges.  All of it is II-independent for a
-        # sealed graph, so it is computed once and cached on the graph
-        # (``graph.succ_edges`` copies into a fresh tuple per call —
-        # thousands of calls per attempt otherwise); only the
-        # II-resolved weights below are rebuilt per attempt.
-        cache = getattr(graph, "_sched_cache", None)
-        if cache is None:
-            all_ops = [graph.operation(op) for op in range(graph.n_ops)]
-            pred_raw = []
-            for op in range(graph.n_ops):
-                entries = []
-                count = 0
-                for edge in graph.pred_edges(op):
-                    count += 1
-                    if edge.pred == op:
-                        continue
-                    entries.append((edge.pred, edge.delay, edge.distance))
-                pred_raw.append((tuple(entries), count))
-            cache = graph._sched_cache = (
-                [operation.is_pseudo for operation in all_ops],
-                [
-                    None if operation.is_pseudo else operation.opcode
-                    for operation in all_ops
-                ],
-                [graph.succ_edges(op) for op in range(graph.n_ops)],
-                pred_raw,
-            )
-        self._is_pseudo, opcodes, self._succ_lists, pred_raw = cache
-        self._op_alts = [
-            None if opcode is None else self._feasible_alts[opcode]
-            for opcode in opcodes
-        ]
-        # Estart sweeps run once per scheduling step (and per readiness
-        # probe in the instruction-driven style); precompute each
-        # operation's predecessor array with the II-resolved edge weight
-        # ``delay - II*distance`` so the sweep is a max over pairs — and
-        # a vectorized numpy max for high-fanin operations.
-        n_ops = graph.n_ops
-        ii = self.ii
-        pred_pairs: List[tuple] = [
-            tuple(
-                (pred, delay - ii * distance)
-                for pred, delay, distance in entries
-            )
-            for entries, _ in pred_raw
-        ]
-        self._pred_pairs = pred_pairs
-        self._pred_counts = [count for _, count in pred_raw]
-        self._pred_vec: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        wide = [op for op in range(n_ops) if len(pred_pairs[op]) >= 16]
-        for op in wide:
-            arr = np.array(pred_pairs[op], dtype=np.int64)
-            self._pred_vec[op] = (arr[:, 0], arr[:, 1].astype(float))
-        self._time_arr = (
-            np.full(n_ops, -np.inf) if wide else None
-        )
-        # Dense slot array: None marks unscheduled.  Indexing beats a
-        # dict in the Estart sweep, the hottest read in the attempt.
-        self._times: List[Optional[int]] = [None] * n_ops
-        self._alts: Dict[int, Optional[ReservationTable]] = {}
-        self._prev_time: Dict[int, int] = {}
-        self._never_scheduled: Set[int] = set(range(graph.n_ops))
-        self._unscheduled: Set[int] = set(range(1, graph.n_ops))
-        self._heap: List[Tuple[int, int]] = [
-            (-self.heights[op], op) for op in self._unscheduled
-        ]
-        heapq.heapify(self._heap)
-        return None
-
     def run(self, budget: int) -> _AttemptResult:
-        """Attempt to schedule every operation within ``budget`` steps."""
-        graph = self.graph
-        dead = self._prepare()
-        if dead is not None:
-            return dead
-        steps = 0
+        """Attempt to schedule every operation within ``budget`` steps.
 
-        # START is pinned at time 0 (Figure 3) and consumes no resources.
-        self._place(graph.START, 0, None)
-        steps += 1
-
-        while self._unscheduled and steps < budget:
-            # Cooperative watchdog: one clock read every 32 steps keeps
-            # the overhead unmeasurable while bounding a wedged attempt.
-            if self.deadline is not None and (steps & 31) == 0:
-                self.deadline.check("scheduling")
-            op = self._pop_highest_priority()
-            estart = self._calculate_early_start(op)
-            if self.trace is not None:
-                self.trace.pick(op, estart)
-            slot, alternative = self._find_time_slot(op, estart)
-            if (
-                alternative is None
-                and not self._is_pseudo[op]
-                and not self.allow_displacement
-            ):
-                # Greedy mode: no conflict-free slot means this II is
-                # abandoned on the spot — no unscheduling, no retries.
-                break
-            self._schedule(op, slot, alternative)
-            steps += 1
-
-        return _AttemptResult(
-            success=not self._unscheduled,
-            times={
-                op: t for op, t in enumerate(self._times) if t is not None
-            },
-            alternatives=dict(self._alts),
-            steps=steps,
-        )
-
-    # ------------------------------------------------------------------
-
-    def _pop_highest_priority(self) -> int:
-        """HighestPriorityOperation: lazy-deletion max-heap on HeightR."""
-        while self._heap:
-            _, op = heapq.heappop(self._heap)
-            if op in self._unscheduled:
-                return op
-        raise AssertionError("heap empty while operations remain unscheduled")
-
-    def _calculate_early_start(self, op: int) -> int:
-        """Estart per Figure 5b: only scheduled predecessors constrain.
-
-        The sweep runs over the per-operation predecessor arrays built in
-        :meth:`_prepare` (weights already II-resolved); high-fanin
-        operations take a vectorized numpy max over the scheduled-time
-        array, where unscheduled predecessors sit at −inf and drop out of
-        the max for free.
+        The whole attempt runs on local variables: the flat tables of
+        :func:`_attempt_tables`, the slot and alternative of every
+        operation, and Table 4's counters, which are added to
+        ``self.counters`` once, on the way out — also when a deadline
+        expires mid-attempt, so the steps taken are still billed.
         """
-        self.counters.estart_preds += self._pred_counts[op]
-        vec = self._pred_vec.get(op)
-        if vec is not None:
-            best = float(np.max(self._time_arr[vec[0]] + vec[1]))
-            return int(best) if best > 0 else 0
-        estart = 0
-        times = self._times
-        for pred, weight in self._pred_pairs[op]:
-            pred_time = times[pred]
-            if pred_time is None:
-                continue
-            candidate = pred_time + weight
-            if candidate > estart:
-                estart = candidate
-        return estart
+        ii = self.ii
+        mask_set = self.machine.compiled_masks(ii)
+        tables = _attempt_tables(self.graph, mask_set, ii)
+        if tables is None:
+            return _AttemptResult(False, {}, {}, 0)
+        op_alts, preds, succs, fan_in = tables
+        mrt = ModuloReservations(ii, mask_set)
+        reserve = mrt.reserve
+        release = mrt.release
+        heights = self.heights
+        trace = self.trace
+        deadline = self.deadline
+        n_ops = len(op_alts)
+        # Dense slot arrays: None marks unscheduled (``times``) and never
+        # scheduled in this attempt (``prev_time``, Figure 4's PrevTime).
+        times: List[Optional[int]] = [None] * n_ops
+        prev_time: List[Optional[int]] = [None] * n_ops
+        alts: Dict[int, Optional[ReservationTable]] = {}
+        unscheduled: Set[int] = set(range(1, n_ops))
+        # HighestPriorityOperation: a lazy-deletion max-heap on HeightR.
+        heap = [(-heights[op], op) for op in range(1, n_ops)]
+        heapq.heapify(heap)
+        heappop = heapq.heappop
+        heappush = heapq.heappush
+        estart_preds = findtimeslot_iters = 0
+        ops_scheduled = ops_unscheduled = ops_forced = 0
 
-    def _find_time_slot(
-        self, op: int, min_time: int
-    ) -> Tuple[int, Optional[ReservationTable]]:
-        """FindTimeSlot per Figure 4, extended over the opcode alternatives.
+        def estart(op: int) -> int:
+            """Estart per Figure 5b: only scheduled predecessors count."""
+            nonlocal estart_preds
+            estart_preds += fan_in[op]
+            best = 0
+            for pred, weight in preds[op]:
+                pred_time = times[pred]
+                if pred_time is not None and pred_time + weight > best:
+                    best = pred_time + weight
+            return best
 
-        Searches ``[min_time, min_time + II - 1]`` time-major,
-        alternative-minor.  ``findtimeslot_iters`` counts the
-        (slot, alternative) pairs that scan examines up to its answer —
-        all II × alternatives of them when the window is full.
-
-        Returns ``(slot, alternative)``; ``alternative`` is ``None`` when
-        the slot was forced (the caller then displaces conflicting
-        operations) or when the operation is a pseudo-operation.
-        """
-        if self._is_pseudo[op]:
-            self.counters.findtimeslot_iters += 1
-            return min_time, None
-        alternatives = self._op_alts[op]
-        time, index = self._mrt.first_free_slot(alternatives, min_time)
-        if time is not None:
-            self.counters.findtimeslot_iters += (
-                (time - min_time) * len(alternatives) + index + 1
-            )
-            return time, alternatives[index]
-        self.counters.findtimeslot_iters += self.ii * len(alternatives)
-        # No conflict-free slot: pick one that guarantees forward progress.
-        if op in self._never_scheduled or min_time > self._prev_time[op]:
-            return min_time, None
-        return self._prev_time[op] + 1, None
-
-    def _schedule(
-        self, op: int, slot: int, alternative: Optional[ReservationTable]
-    ) -> None:
-        """Schedule per Figure 3's note: displace whatever conflicts."""
-        forced = False
-        if not self._is_pseudo[op]:
-            alternatives = self._op_alts[op]
+        def place(op: int, slot: int, alternative) -> None:
+            nonlocal ops_scheduled
             if alternative is None:
-                # Forced placement (Section 3.4): displace every operation
-                # conflicting with *any* alternative, then take the first.
-                forced = True
-                for victim in sorted(
-                    self._mrt.conflicting_ops(alternatives, slot)
-                ):
-                    self._unschedule(victim, culprit=op)
-                alternative = alternatives[0]
-        if forced:
-            self.counters.ops_forced += 1
-        if self.trace is not None:
-            if forced:
-                self.trace.force(op, slot)
+                alts[op] = None
             else:
-                self.trace.place(
+                reserve(op, alternative, slot)
+                # The MRT works on CompiledAlternative wrappers; the
+                # schedule records the underlying table.
+                alts[op] = alternative.table
+            times[op] = slot
+            prev_time[op] = slot
+            unscheduled.discard(op)
+            ops_scheduled += 1
+
+        def unschedule(op: int, culprit: int) -> None:
+            nonlocal ops_unscheduled
+            if op == DependenceGraph.START:
+                raise AssertionError("START must never be displaced")
+            if trace is not None:
+                trace.displace(op, times[op], culprit)
+            release(op)
+            times[op] = None
+            del alts[op]
+            unscheduled.add(op)
+            heappush(heap, (-heights[op], op))
+            ops_unscheduled += 1
+
+        def schedule(op: int, slot: int, alternative) -> None:
+            """Schedule per Figure 3's note: displace whatever conflicts.
+
+            ``alternative`` is None for a pseudo-operation and for a
+            forced placement (Section 3.4), which displaces every
+            operation conflicting with *any* of the opcode's
+            alternatives and then takes the first.
+            """
+            nonlocal ops_forced
+            alternatives = op_alts[op]
+            if alternative is None and alternatives is not None:
+                for victim in sorted(mrt.conflicting_ops(alternatives, slot)):
+                    unschedule(victim, op)
+                alternative = alternatives[0]
+                ops_forced += 1
+                if trace is not None:
+                    trace.force(op, slot)
+            elif trace is not None:
+                trace.place(
                     op, slot, alternative.name if alternative else "pseudo"
                 )
-        self._place(op, slot, alternative)
-        # Displace dependence-violated successors; predecessors were
-        # honoured through Estart.
-        times = self._times
-        ii = self.ii
-        for edge in self._succ_lists[op]:
-            if edge.succ == op:
-                continue
-            succ_time = times[edge.succ]
-            if succ_time is None:
-                continue
-            if succ_time < slot + edge.delay - ii * edge.distance:
-                self._unschedule(edge.succ, culprit=op)
+            place(op, slot, alternative)
+            # Displace dependence-violated successors; predecessors were
+            # honoured through Estart.
+            for succ, weight in succs[op]:
+                succ_time = times[succ]
+                if succ_time is not None and succ_time < slot + weight:
+                    unschedule(succ, op)
 
-    def _place(
-        self, op: int, slot: int, alternative: Optional[ReservationTable]
-    ) -> None:
-        if alternative is not None:
-            self._mrt.reserve(op, alternative, slot)
-            # The MRT works on CompiledAlternative wrappers; the schedule
-            # itself records the underlying table.
-            alternative = getattr(alternative, "table", alternative)
-        self._times[op] = slot
-        if self._time_arr is not None:
-            self._time_arr[op] = slot
-        self._alts[op] = alternative
-        self._prev_time[op] = slot
-        self._unscheduled.discard(op)
-        self._never_scheduled.discard(op)
-        self.counters.ops_scheduled += 1
+        def forced_slot(op: int, start: int) -> int:
+            """Figure 4's slot when the window is full: forward progress."""
+            last = prev_time[op]
+            return start if last is None or start > last else last + 1
 
-    def _unschedule(self, op: int, culprit: int = -1) -> None:
-        if op == self.graph.START:
-            raise AssertionError("START must never be displaced")
-        if self.trace is not None:
-            self.trace.displace(op, self._times[op], culprit)
-        self._mrt.release(op)
-        self._times[op] = None
-        if self._time_arr is not None:
-            self._time_arr[op] = -np.inf
-        del self._alts[op]
-        self._unscheduled.add(op)
-        heapq.heappush(self._heap, (-self.heights[op], op))
-        self.counters.ops_unscheduled += 1
+        try:
+            # START is pinned at time 0 (Figure 3) and consumes no
+            # resources.
+            place(DependenceGraph.START, 0, None)
+            steps = 1
+            if self.instruction_driven:
+                # The footnote's style: sweep a time cursor forward and
+                # place every ready operation that fits at that cycle,
+                # most critical first.
+                conflicts = mrt.conflicts
+                time = 0
+                while unscheduled and steps < budget:
+                    if deadline is not None and (steps & 31) == 0:
+                        deadline.check("scheduling")
+                    placed_someone = False
+                    ready = sorted(
+                        (op for op in unscheduled if estart(op) <= time),
+                        key=lambda op: (-heights[op], op),
+                    )
+                    for op in ready:
+                        if steps >= budget:
+                            break
+                        if op not in unscheduled:
+                            continue  # displaced earlier in this cycle
+                        if estart(op) > time:
+                            # An earlier placement this cycle was a
+                            # predecessor; the operation is no longer
+                            # ready at this time.
+                            continue
+                        # One findtimeslot_iters tick per (slot,
+                        # alternative) probe at exactly this cycle.
+                        alternatives = op_alts[op]
+                        if alternatives is None:
+                            findtimeslot_iters += 1
+                            alternative = None
+                        else:
+                            for alternative in alternatives:
+                                findtimeslot_iters += 1
+                                if not conflicts(alternative, time):
+                                    break
+                            else:
+                                continue  # nothing fits at this cycle
+                        if trace is not None:
+                            trace.pick(op, time)
+                        schedule(op, time, alternative)
+                        steps += 1
+                        placed_someone = True
+                    if not unscheduled or steps >= budget:
+                        break
+                    # Force progress for any operation whose window has
+                    # closed: every slot in [Estart, Estart + II) has now
+                    # been swept.
+                    overdue = [
+                        op
+                        for op in unscheduled
+                        if time - estart(op) >= ii - 1
+                    ]
+                    if overdue:
+                        op = min(overdue, key=lambda o: (-heights[o], o))
+                        start = estart(op)
+                        if trace is not None:
+                            trace.pick(op, start)
+                        slot = (
+                            start
+                            if op_alts[op] is None
+                            else forced_slot(op, start)
+                        )
+                        schedule(op, slot, None)
+                        steps += 1
+                        time = max(time, slot)
+                        continue
+                    if not placed_someone:
+                        time += 1
+            else:
+                allow_displacement = self.allow_displacement
+                first_free_slot = mrt.first_free_slot
+                while unscheduled and steps < budget:
+                    # Cooperative watchdog: one clock read every 32 steps
+                    # keeps the overhead unmeasurable while bounding a
+                    # wedged attempt.
+                    if deadline is not None and (steps & 31) == 0:
+                        deadline.check("scheduling")
+                    op = heappop(heap)[1]
+                    while op not in unscheduled:
+                        op = heappop(heap)[1]
+                    start = estart(op)
+                    if trace is not None:
+                        trace.pick(op, start)
+                    # FindTimeSlot (Figure 4) over [Estart, Estart + II - 1],
+                    # billing the (slot, alternative) pairs Figure 4's
+                    # time-major, alternative-minor scan examines.
+                    alternatives = op_alts[op]
+                    if alternatives is None:
+                        findtimeslot_iters += 1
+                        slot, alternative = start, None
+                    else:
+                        slot, index = first_free_slot(alternatives, start)
+                        if slot is not None:
+                            findtimeslot_iters += (
+                                (slot - start) * len(alternatives) + index + 1
+                            )
+                            alternative = alternatives[index]
+                        else:
+                            findtimeslot_iters += ii * len(alternatives)
+                            if not allow_displacement:
+                                # Greedy mode: no conflict-free slot
+                                # abandons this II on the spot.
+                                break
+                            # No conflict-free slot: force one.
+                            slot = forced_slot(op, start)
+                            alternative = None
+                    schedule(op, slot, alternative)
+                    steps += 1
+        finally:
+            counters = self.counters
+            counters.estart_preds += estart_preds
+            counters.findtimeslot_iters += findtimeslot_iters
+            counters.ops_scheduled += ops_scheduled
+            counters.ops_unscheduled += ops_unscheduled
+            counters.ops_forced += ops_forced
+
+        return _AttemptResult(
+            success=not unscheduled,
+            times={op: t for op, t in enumerate(times) if t is not None},
+            alternatives=alts,
+            steps=steps,
+        )
 
 
 class GreedyScheduler(IterativeScheduler):

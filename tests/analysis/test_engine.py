@@ -133,6 +133,38 @@ class TestCacheKey:
         changed = _recurrence_graph(machine, extra_edge=True)
         assert cache_key(base, machine) != cache_key(changed, machine)
 
+    @pytest.mark.parametrize(
+        "attribute, before, after",
+        [
+            ("offset", 0, 1),
+            ("operands", (("op", 1, 0),), (("op", 1, 1),)),
+        ],
+    )
+    def test_operation_attribute_changes_key(
+        self, machine, attribute, before, after
+    ):
+        def build(value):
+            graph = DependenceGraph(machine, name="probe")
+            graph.add_operation("load", dest="v", array="x", offset=0)
+            graph.add_operation(
+                "fadd", dest="s", srcs=("v",), **{attribute: value}
+            )
+            return graph.seal()
+
+        assert cache_key(build(before), machine) != cache_key(
+            build(after), machine
+        )
+
+    def test_attribute_order_does_not_change_key(self, machine):
+        def build(**attrs):
+            graph = DependenceGraph(machine, name="probe")
+            graph.add_operation("load", dest="v", **attrs)
+            return graph.seal()
+
+        assert cache_key(build(array="x", offset=2), machine) == cache_key(
+            build(offset=2, array="x"), machine
+        )
+
     def test_machine_latency_changes_key(self, machine):
         graph = _recurrence_graph(machine)
         description = machine_to_dict(machine)

@@ -176,6 +176,24 @@ class TestIterativeBehavior:
         assert counters.ii_attempts >= 1
 
 
+class TestNoStateOnTheGraph:
+    @pytest.mark.parametrize("style", ["operation", "greedy", "instruction"])
+    def test_scheduling_leaves_only_the_scc_memo(self, style):
+        """Each attempt's tables live and die with the attempt: the
+        graph keeps only what construction and ``shared_components``
+        (``_scc_cache``) put there."""
+        machine = cydra5()
+        graph = DependenceGraph(machine, name="state")
+        load = graph.add_operation("load", dest="v")
+        acc = graph.add_operation("fadd", dest="s", srcs=("s", "v"))
+        graph.add_edge(load, acc, DependenceKind.FLOW)
+        graph.add_edge(acc, acc, DependenceKind.FLOW, distance=1)
+        graph.seal()
+        built = set(vars(graph))
+        modulo_schedule(graph, machine, budget_ratio=6.0, style=style)
+        assert set(vars(graph)) - built == {"_scc_cache"}
+
+
 class TestAgainstCydra:
     @pytest.mark.parametrize("n_ops", [1, 2, 5, 9])
     def test_homogeneous_adds(self, n_ops):
