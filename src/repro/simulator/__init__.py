@@ -4,8 +4,10 @@ The modulo scheduler's output is verified *end-to-end* by executing it:
 
 * :mod:`repro.simulator.state` — the machine-visible state: arrays (with a
   halo for ``i +/- c`` subscripts) and scalars;
-* :mod:`repro.simulator.reference` — a direct interpreter of the loop AST,
-  the independent oracle;
+* :mod:`repro.simulator.reference` — the loop AST's sequential semantics,
+  the independent oracle: it compiles the AST into closures once per call
+  (operators resolved, in-halo array references at a constant shift) and
+  imports nothing but the AST and the state;
 * :mod:`repro.simulator.pipeline` — executes a schedule with iteration
   ``k`` issuing at ``k * II + time(op)``: loads sample memory at their
   issue cycle and stores commit one cycle later, in global time order, so
@@ -14,7 +16,8 @@ The modulo scheduler's output is verified *end-to-end* by executing it:
   (events in kernel-row order, one closure per operation, each operand's
   readiness decided once) and keeps per-instance checks for the
   operations whose reads can fail;
-* :func:`check_equivalence` — runs both and compares the final state.
+* :func:`check_equivalence` — runs both and compares the final state bit
+  for bit (``0.0`` and ``-0.0`` differ; NaN matches NaN).
 """
 
 from repro.simulator.state import ArrayStore, LoopState, make_initial_state

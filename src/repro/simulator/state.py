@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -13,14 +14,22 @@ def floats_equal(a: float, b: float) -> bool:
 
     Speculative arithmetic legitimately produces NaN on both sides of an
     equivalence check (e.g. a guarded sqrt of a negative value), so NaN
-    must equal NaN here.
+    must equal NaN here.  ``0.0`` and ``-0.0`` differ, although ``==``
+    calls them equal: their bits differ, and so do ``1/x`` and
+    ``copysign`` of them.
     """
     if a == b:
-        return True
+        return a != 0 or math.copysign(1.0, a) == math.copysign(1.0, b)
     try:
         return math.isnan(a) and math.isnan(b)
     except TypeError:
         return False
+
+
+def _bits(cells: List[float]) -> bytes:
+    """The cells packed as doubles: equal exactly when every cell is
+    bit-identical (list equality calls ``0.0`` and ``-0.0`` equal)."""
+    return struct.pack(f"{len(cells)}d", *cells)
 
 
 class ArrayStore:
@@ -114,12 +123,9 @@ class LoopState:
             return problems
         for name in sorted(self.arrays):
             mine, theirs = self.arrays[name], other.arrays[name]
-            if (mine.length, mine.halo, mine._data) == (
-                theirs.length,
-                theirs.halo,
-                theirs._data,
-            ):
-                continue  # equal cells are floats_equal cells
+            same_shape = (mine.length, mine.halo) == (theirs.length, theirs.halo)
+            if same_shape and _bits(mine._data) == _bits(theirs._data):
+                continue  # bit-identical cells are floats_equal cells
             for index in range(-mine.halo, mine.length + mine.halo):
                 if not floats_equal(mine[index], theirs[index]):
                     problems.append(

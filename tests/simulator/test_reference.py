@@ -1,9 +1,11 @@
-"""The sequential oracle: direct AST interpretation."""
+"""The sequential oracle: the loop AST's semantics, sharing no code."""
 
+import ast
 import math
 
 import pytest
 
+import repro.simulator.reference
 from repro.loopir import parse_loop
 from repro.simulator import ArrayStore, LoopState, run_reference
 
@@ -110,3 +112,54 @@ class TestControlFlow:
         with pytest.raises(KeyError) as excinfo:
             run_reference(loop, state, 1)
         assert "q" in str(excinfo.value)
+
+
+#: All the reference may take from the package: the loop AST and the
+#: state it mutates.  Sharing anything else with the front end, the
+#: scheduler or the pipelined executor would let one bug hide in both.
+_ALLOWED = {"repro.loopir.ast", "repro.simulator.state"}
+
+
+def _independence_problems(source):
+    """Imports from ``repro`` beyond :data:`_ALLOWED`, and any use of
+    ``exec``, ``eval`` or ``compile``, in a module's source."""
+    problems = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            modules = [("." * node.level) + (node.module or "")]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            modules = []
+        for module in modules:
+            inside = module.startswith(".") or module.split(".")[0] == "repro"
+            if inside and module not in _ALLOWED:
+                problems.append(f"imports {module}")
+        name = None
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        if name in ("exec", "eval", "compile"):
+            problems.append(f"uses {name} at line {node.lineno}")
+    return problems
+
+
+class TestIndependence:
+    def test_reference_imports_only_the_ast_and_the_state(self):
+        with open(repro.simulator.reference.__file__) as handle:
+            assert _independence_problems(handle.read()) == []
+
+    @pytest.mark.parametrize(
+        "source, problem",
+        [
+            ("from repro.loopir.lower import lower_loop", "imports repro.loopir.lower"),
+            ("import repro.simulator.pipeline", "imports repro.simulator.pipeline"),
+            ("from .pipeline import _ARITH", "imports .pipeline"),
+            ("step = eval('lambda i: i')", "uses eval at line 1"),
+            ("import builtins\nbuiltins.exec('pass')", "uses exec at line 2"),
+            ("code = compile('1', '<loop>', 'eval')", "uses compile at line 1"),
+        ],
+    )
+    def test_guard_flags_shared_code_and_generated_source(self, source, problem):
+        assert problem in _independence_problems(source)

@@ -58,6 +58,12 @@ class TestFloatsEqual:
         assert floats_equal(True, True)
         assert not floats_equal(True, False)
 
+    def test_signed_zeros_differ(self):
+        assert floats_equal(0.0, 0.0)
+        assert floats_equal(-0.0, -0.0)
+        assert not floats_equal(0.0, -0.0)
+        assert not floats_equal(-0.0, 0.0)
+
 
 class TestLoopState:
     def test_differences_empty_for_copies(self):
@@ -77,6 +83,25 @@ class TestLoopState:
         left = LoopState(scalars={"s": 1.0})
         right = LoopState(scalars={"s": 2.0})
         assert any("scalar s" in p for p in left.differences(right))
+
+    def test_differences_report_signed_zero_cell(self):
+        left = LoopState(arrays={"a": ArrayStore(3, halo=1)})
+        right = left.copy()
+        right.arrays["a"][-1] = -0.0
+        assert left.differences(right) == ["array a[-1]: 0.0 vs -0.0"]
+
+    def test_differences_report_signed_zero_scalar(self):
+        left = LoopState(scalars={"s": -0.0})
+        right = LoopState(scalars={"s": 0.0})
+        assert left.differences(right) == ["scalar s: -0.0 vs 0.0"]
+
+    def test_differences_ignore_nan_payloads(self):
+        left = LoopState(arrays={"a": ArrayStore(2)}, scalars={"s": math.nan})
+        right = left.copy()
+        left.arrays["a"][0] = math.nan
+        right.arrays["a"][0] = -math.nan  # another NaN bit pattern
+        right.scalars["s"] = -math.nan
+        assert left.differences(right) == []
 
     def test_differences_report_mismatched_sets(self):
         left = LoopState(scalars={"s": 1.0})
