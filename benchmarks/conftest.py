@@ -72,7 +72,6 @@ def engine(machine):
     return EvaluationEngine(
         machine,
         budget_ratio=QUALITY_BUDGET_RATIO,
-        exact_mii=True,
         jobs=_engine_jobs(),
         cache_dir=(
             None if "REPRO_BENCH_NO_CACHE" in os.environ else CACHE_DIR

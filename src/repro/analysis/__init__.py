@@ -10,10 +10,10 @@
   (MII, modulo schedule, list-schedule and MinDist lower bounds, counters);
 * :mod:`repro.analysis.engine` — the parallel, content-addressed,
   fault-tolerant corpus-evaluation engine (process-pool fan-out, on-disk
-  result cache, watchdog timeouts, crash-isolated retries,
-  checkpoint/resume, degradation ladder);
+  result cache that doubles as the run's checkpoint, watchdog timeouts,
+  crash-isolated retries, degradation ladder);
 * :mod:`repro.analysis.resilience` — the engine's resilience policies
-  (failure taxonomy, retry backoff, result journal, quarantine);
+  (failure taxonomy, retry backoff, durable writes, quarantine);
 * :mod:`repro.analysis.faultinject` — deterministic fault injection for
   the resilience test-suite (``REPRO_FAULT_INJECT``);
 * :mod:`repro.analysis.report` — plain-text table/series rendering.
@@ -34,7 +34,6 @@ from repro.analysis.model import execution_time, execution_time_bound
 from repro.analysis.resilience import (
     Deadline,
     DeadlineExceeded,
-    ResultJournal,
     RetryPolicy,
     classify_failure,
     load_quarantine,
@@ -62,7 +61,6 @@ __all__ = [
     "FaultPlan",
     "LoopFailure",
     "LoopTiming",
-    "ResultJournal",
     "RetryPolicy",
     "cache_key",
     "classify_failure",

@@ -33,9 +33,10 @@ the substrate that makes corpus-scale evaluation cheap, repeatable and
   silent — first to floor-budget IMS and then to the acyclic list
   scheduler (kernel-only code), so every feasible loop still yields a
   schedule plus a ``degradation`` record;
-* **checkpoint/resume**: each finished loop is appended to a JSONL
-  journal next to the cache; ``resume=True`` replays completed loops
-  from the journal and re-evaluates only the rest;
+* **the cache is the checkpoint**: each finished loop's entry is
+  written (fsynced, then renamed into place) the moment it completes,
+  so a re-run over the same cache after a crash or Ctrl-C evaluates
+  only the loops that were never cached;
 * **per-loop phase timings** (mindist / scheduling / codegen /
   simulation) and cache hit/miss counters on the result; a traced run
   records the same facts as spans and metrics of its ``repro.obs.v2``
@@ -49,10 +50,9 @@ fault, or loaded from disk.  The fault-injection harness
 The payload holds the measurements and the schedule body (II, times,
 alternatives by name), not a copy of the graph: the key pins the
 graph's content, so each payload is decoded exactly once, against the
-live ``loop.graph``, where it enters the engine — a cache hit, a journal
-replay or a finished task.  A cache entry that does not decode counts
-as corrupt, a journaled payload that does not decode is named in the
-run's diagnostics, and either way the loop is re-evaluated.
+live ``loop.graph``, where it enters the engine — a cache hit or a
+finished task.  A cache entry that does not decode counts as corrupt
+and the loop is re-evaluated.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ import heapq
 import json
 import os
 import signal
-import tempfile
 import time
 import traceback
 from collections import deque
@@ -82,11 +81,10 @@ from repro.analysis.resilience import (
     DETERMINISTIC,
     LEVEL_LIST_FALLBACK,
     LEVEL_RELAXED,
-    RESOURCE,
     Deadline,
     DeadlineExceeded,
-    ResultJournal,
     RetryPolicy,
+    atomic_write,
     classify_failure,
     write_quarantine,
 )
@@ -112,8 +110,8 @@ from repro.workloads.corpus import CorpusLoop
 #: whenever the meaning of a cached payload changes (new measurements, a
 #: scheduler fix that alters results, a payload schema change) so stale
 #: entries are never resurrected.
-CODE_FORMAT_VERSION = 8  # v8: keys hash a one-pass canonical encoding of
-# the graph instead of its canonical JSON
+CODE_FORMAT_VERSION = 9  # v9: the MII mode left the key (it is always
+# the exact RecMII search)
 
 _PAYLOAD_FORMAT = "repro.loop-evaluation.v2"
 
@@ -188,7 +186,6 @@ def cache_key(
     loop: Union[CorpusLoop, Any],
     machine,
     budget_ratio: float = 6.0,
-    exact_mii: bool = True,
     verify_iterations: int = 0,
     backend: str = "ims",
 ) -> str:
@@ -214,7 +211,6 @@ def cache_key(
         machine.content_key,
         backend,
         budget_ratio,
-        exact_mii,
         verify_iterations,
         _canonical_graph(graph),
     )
@@ -389,7 +385,6 @@ class LoopTiming:
     key: str
     cache_hit: bool
     seconds: Dict[str, float]
-    resumed: bool = False
 
 
 @dataclass
@@ -405,6 +400,9 @@ class CorpusEvaluation:
 
     The resilience tallies (``retries`` .. ``quarantined``) count fault
     events the run absorbed; they are all zero on a clean run.
+    ``timeouts`` counts the failures that were a blown deadline
+    (``DeadlineExceeded`` or ``TimeoutError``), retried or terminal; a
+    ``MemoryError`` is a ``resource`` failure too, but not a timeout.
     ``quarantined`` counts the failures written to ``quarantine.json``,
     so it stays zero when the file is disabled.
     ``diagnostics`` carries run-level human-readable notes (a broken
@@ -428,7 +426,6 @@ class CorpusEvaluation:
     crashes: int = 0
     reaped: int = 0
     degraded: int = 0
-    resume_skipped: int = 0
     cache_corrupt: int = 0
     quarantined: int = 0
     diagnostics: List[str] = field(default_factory=list)
@@ -448,7 +445,6 @@ class CorpusEvaluation:
         )
         extras = []
         for label, value in (
-            ("resumed", self.resume_skipped),
             ("retries", self.retries),
             ("timeouts", self.timeouts),
             ("crashes", self.crashes),
@@ -476,7 +472,6 @@ class _LoopTask:
     loop: CorpusLoop
     machine: Any
     budget_ratio: float
-    exact_mii: bool
     verify_iterations: int
     observe: bool
     timeout: Optional[float]
@@ -576,7 +571,6 @@ def _resilient_schedule(task: "_LoopTask", counters, obs, timer, phase_box):
                     loop.graph,
                     machine,
                     counters,
-                    exact=task.exact_mii,
                     obs=obs,
                     deadline=deadline,
                 )
@@ -599,10 +593,7 @@ def _resilient_schedule(task: "_LoopTask", counters, obs, timer, phase_box):
                     result = get_backend(task.backend).schedule(
                         loop.graph,
                         machine,
-                        IIPolicy(
-                            budget_ratio=task.budget_ratio,
-                            exact_mii=task.exact_mii,
-                        ),
+                        IIPolicy(budget_ratio=task.budget_ratio),
                         counters=counters,
                         mii_result=mii_result,
                         obs=obs,
@@ -621,7 +612,7 @@ def _resilient_schedule(task: "_LoopTask", counters, obs, timer, phase_box):
         }
         # Normalized attempt metadata for the rung that failed: the
         # ladder concatenates these in front of whatever the fallback
-        # rung records, so the journal names the backend behind every
+        # rung records, so the payload names the backend behind every
         # candidate II even across rungs.
         failed_records = tuple(
             AttemptRecord(
@@ -858,7 +849,6 @@ class _RunStats:
     crashes: int = 0
     reaped: int = 0
     degraded: int = 0
-    resume_skipped: int = 0
     cache_corrupt: int = 0
     diagnostics: List[str] = field(default_factory=list)
 
@@ -902,7 +892,7 @@ class EvaluationEngine:
     ----------
     machine:
         The target machine description.
-    budget_ratio, exact_mii:
+    budget_ratio, backend:
         Scheduler configuration, folded into every cache key.
     jobs:
         Worker processes for cache misses; ``1`` evaluates in-process,
@@ -922,16 +912,16 @@ class EvaluationEngine:
         re-validated from first principles by :mod:`repro.check` before
         its payload is cached; an error-severity finding becomes a
         :class:`LoopFailure` with phase ``"check"`` carrying the full
-        ``repro.check.v1`` diagnostics document.  Cache hits and resumed
-        journal payloads are re-validated too (the validator is the
-        corruption detector), at a few milliseconds per loop.
+        ``repro.check.v1`` diagnostics document.  Cache hits are
+        re-validated too (the validator is the corruption detector), at
+        a few milliseconds per loop.
     obs:
         Optional :class:`repro.obs.ObsContext`.  When given, the run is
         traced end to end: a ``corpus.evaluate`` root span, a per-loop
         span tree from every worker (merged through the same JSON
         round-trip the payloads use; a failed loop's span names its
-        failure ``kind``), ``cache.load`` and ``journal.replay`` spans
-        with a ``hit`` flag, and a deterministic metric snapshot (cache
+        failure ``kind``), a ``cache.load`` span with a ``hit`` flag per
+        probed loop, and a deterministic metric snapshot (cache
         counters, aggregated algorithm counters, II/attempt histograms)
         that is byte-identical for any ``jobs`` value on a clean run;
         ``resilience.*`` counters appear only when fault events actually
@@ -946,13 +936,6 @@ class EvaluationEngine:
     degrade:
         Whether budget/deadline exhaustion falls down the degradation
         ladder instead of failing the loop (default True).
-    journal_path:
-        Path of the append-only checkpoint journal.  Defaults to
-        ``<cache_dir>/journal.jsonl`` when caching is on; None disables
-        journaling (and therefore resume).
-    resume:
-        Replay completed loops from the journal instead of re-evaluating
-        them.  Requires a journal.
     quarantine_path:
         Where terminal failures are written as ``quarantine.json``
         (default ``<cache_dir>/quarantine.json`` when caching; None
@@ -977,7 +960,6 @@ class EvaluationEngine:
         self,
         machine,
         budget_ratio: float = 6.0,
-        exact_mii: bool = True,
         backend: str = "ims",
         jobs: Optional[int] = 1,
         cache_dir=None,
@@ -987,8 +969,6 @@ class EvaluationEngine:
         loop_timeout: Optional[float] = None,
         retry_policy: Optional[RetryPolicy] = None,
         degrade: bool = True,
-        journal_path=None,
-        resume: bool = False,
         quarantine_path=None,
         reap_after: Optional[float] = None,
         fault_plan: Optional[FaultPlan] = None,
@@ -996,7 +976,6 @@ class EvaluationEngine:
     ) -> None:
         self.machine = machine
         self.budget_ratio = budget_ratio
-        self.exact_mii = exact_mii
         get_backend(backend)  # fail fast on an unknown backend name
         self.backend = backend
         self.jobs = int(jobs) if jobs else (os.cpu_count() or 1)
@@ -1011,17 +990,6 @@ class EvaluationEngine:
             retry_policy if retry_policy is not None else RetryPolicy()
         )
         self.degrade = degrade
-        if journal_path is not None:
-            self.journal_path: Optional[Path] = Path(journal_path)
-        elif self.caching:
-            self.journal_path = self.cache_dir / "journal.jsonl"
-        else:
-            self.journal_path = None
-        if resume and self.journal_path is None:
-            raise ValueError(
-                "resume needs a journal: enable the cache or pass journal_path"
-            )
-        self.resume = resume
         if quarantine_path is not None:
             self.quarantine_path: Optional[Path] = Path(quarantine_path)
         elif self.caching:
@@ -1055,7 +1023,6 @@ class EvaluationEngine:
             loop,
             self.machine,
             budget_ratio=self.budget_ratio,
-            exact_mii=self.exact_mii,
             verify_iterations=self.verify_iterations,
             backend=self.backend,
         )
@@ -1068,14 +1035,14 @@ class EvaluationEngine:
 
     def _admit(
         self, payload: Any, loop: CorpusLoop
-    ) -> Tuple[Optional[LoopEvaluation], str]:
+    ) -> Optional[LoopEvaluation]:
         """Decode a stored payload against ``loop``; strict mode re-checks it.
 
-        Returns ``(evaluation, "")``, or ``(None, reason)`` when the
-        payload must be re-evaluated instead.  A stored payload is input
-        from outside this run, so any defect that survived JSON parsing
-        refuses it — a field of the wrong type as much as an alternative
-        the machine lacks.  In strict mode the decoded schedule is then
+        Returns the evaluation, or None when the loop must be re-evaluated
+        instead.  A stored payload is input from outside this run, so any
+        defect that survived JSON parsing refuses it — a field of the
+        wrong type as much as an alternative the machine lacks.  In
+        strict mode the decoded schedule is then
         re-validated: a bit flip or a stale entry from a buggy scheduler
         build surfaces as a rejected payload.  The codegen cross-checks
         are skipped: codegen artifacts are not stored but re-derived from
@@ -1085,9 +1052,9 @@ class EvaluationEngine:
         try:
             evaluation = evaluation_from_dict(payload, loop, self.machine)
         except Exception:
-            return None, "did not decode"
+            return None
         if not self.check:
-            return evaluation, ""
+            return evaluation
         from repro.check import check_schedule
 
         self.obs.counter("check.schedules").inc()
@@ -1099,8 +1066,8 @@ class EvaluationEngine:
             ok = False
         if not ok:
             self.obs.counter("check.rejected").inc()
-            return None, "failed the static check"
-        return evaluation, ""
+            return None
+        return evaluation
 
     def _cache_load(
         self, key: str, loop: CorpusLoop, stats: _RunStats
@@ -1124,7 +1091,7 @@ class EvaluationEngine:
             data = None
         evaluation = None
         if isinstance(data, dict) and data.get("format") == _PAYLOAD_FORMAT:
-            evaluation, _ = self._admit(data, loop)
+            evaluation = self._admit(data, loop)
         if evaluation is None:
             stats.cache_corrupt += 1
             try:
@@ -1134,22 +1101,10 @@ class EvaluationEngine:
         return evaluation
 
     def _cache_write(self, key: str, payload: Dict[str, Any]) -> None:
-        """Atomically persist a payload (write-to-temp, then rename)."""
-        path = self.cache_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        handle, temp_name = tempfile.mkstemp(
-            dir=str(path.parent), suffix=".tmp"
+        """Durably persist a payload (fsynced temp file, then rename)."""
+        atomic_write(
+            self.cache_path(key), json.dumps(payload, separators=(",", ":"))
         )
-        try:
-            with os.fdopen(handle, "w") as stream:
-                json.dump(payload, stream, separators=(",", ":"))
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
 
     def _truncate_cache_entry(self, key: str) -> None:
         """Fault injection only: clip a just-written entry mid-document."""
@@ -1171,46 +1126,17 @@ class EvaluationEngine:
         with obs.span("corpus.evaluate", loops=n, jobs=self.jobs) as root:
             keys = [self.key_for(loop) for loop in corpus]
             # Every payload is decoded once, against the live loop, where
-            # it enters the engine: a journal replay, a cache hit or a
-            # finished task.
+            # it enters the engine: a cache hit or a finished task.
             decoded: List[Optional[LoopEvaluation]] = [None] * n
             failures_by_index: Dict[int, LoopFailure] = {}
             seconds: List[Dict[str, float]] = [{} for _ in range(n)]
             hit_flags = [False] * n
-            resumed_flags = [False] * n
             # Per finished task: its obs snapshot and profiler samples.
             worker_output: Dict[int, Tuple[Any, Any]] = {}
-
-            journal = (
-                ResultJournal(self.journal_path)
-                if self.journal_path is not None
-                else None
-            )
-            journaled: Dict[str, Dict[str, Any]] = {}
-            if self.resume and journal is not None:
-                journaled = journal.load()
 
             pending: List[int] = []
             for index, key in enumerate(keys):
                 loop = corpus[index]
-                record = journaled.get(key, {})
-                payload = record.get("payload") if record.get("ok") else None
-                if isinstance(payload, dict):
-                    with obs.span(
-                        "journal.replay", loop=loop.name, index=index
-                    ) as replay:
-                        evaluation, refused = self._admit(payload, loop)
-                        replay.set("hit", evaluation is not None)
-                    if evaluation is not None:
-                        decoded[index] = evaluation
-                        resumed_flags[index] = True
-                        seconds[index] = {"total": 0.0}
-                        stats.resume_skipped += 1
-                        continue
-                    stats.diagnostics.append(
-                        f"resume: journaled payload for {loop.name} "
-                        f"{refused}; re-evaluating"
-                    )
                 if self.caching:
                     load_started = time.perf_counter()
                     with obs.span(
@@ -1229,9 +1155,9 @@ class EvaluationEngine:
             def finish(index: int, outcome: Dict[str, Any], attempts: int):
                 """Bank one loop's terminal outcome as soon as it exists.
 
-                Cache and journal writes happen here — per completion,
-                not at end of run — so a kill -9 one loop before the end
-                still leaves every earlier result durable for resume.
+                The cache write happens here — per completion, not at end
+                of run — so a kill -9 one loop before the end still
+                leaves every earlier result durable for the re-run.
                 """
                 seconds[index] = outcome["seconds"]
                 worker_output[index] = (
@@ -1250,13 +1176,6 @@ class EvaluationEngine:
                         attempts=attempts,
                         detail=failure.get("detail") or {},
                     )
-                    if journal is not None:
-                        journal.append(
-                            keys[index],
-                            index,
-                            corpus[index].name,
-                            failure=failures_by_index[index].to_dict(),
-                        )
                     return
                 payload = outcome["payload"]
                 decoded[index] = evaluation_from_dict(
@@ -1266,10 +1185,6 @@ class EvaluationEngine:
                     self._cache_write(keys[index], payload)
                     if self.fault_plan.corrupts_cache(index):
                         self._truncate_cache_entry(keys[index])
-                if journal is not None:
-                    journal.append(
-                        keys[index], index, corpus[index].name, payload=payload
-                    )
 
             try:
                 if self.jobs > 1 and len(pending) > 1:
@@ -1279,8 +1194,6 @@ class EvaluationEngine:
                 else:
                     self._run_serial(corpus, pending, stats, finish)
             finally:
-                if journal is not None:
-                    journal.close()
                 if self.profile_interval:
                     # The serial path arms the shared profiler in this
                     # very process; leave nothing ticking after the run.
@@ -1315,7 +1228,6 @@ class EvaluationEngine:
                         key=keys[index],
                         cache_hit=hit_flags[index],
                         seconds=seconds[index],
-                        resumed=resumed_flags[index],
                     )
                 )
                 if index in failures_by_index:
@@ -1337,11 +1249,9 @@ class EvaluationEngine:
             obs.counter("engine.failures").inc(len(failures))
             obs.counter("engine.cache.hits").inc(sum(hit_flags))
             obs.counter("engine.cache.misses").inc(len(pending))
-            # Resilience metrics tick only on actual events (and resume
-            # only when requested), so a clean run's metric snapshot is
-            # byte-identical to what it was before this layer existed.
-            if self.resume:
-                obs.counter("engine.resume.skipped").inc(stats.resume_skipped)
+            # Resilience metrics tick only on actual events, so a clean
+            # run's metric snapshot is byte-identical to what it was
+            # before this layer existed.
             for name, value in (
                 ("resilience.retries", stats.retries),
                 ("resilience.timeouts", stats.timeouts),
@@ -1380,7 +1290,6 @@ class EvaluationEngine:
             crashes=stats.crashes,
             reaped=stats.reaped,
             degraded=stats.degraded,
-            resume_skipped=stats.resume_skipped,
             cache_corrupt=stats.cache_corrupt,
             quarantined=quarantined,
             diagnostics=stats.diagnostics,
@@ -1398,7 +1307,6 @@ class EvaluationEngine:
             loop=loop,
             machine=self.machine,
             budget_ratio=self.budget_ratio,
-            exact_mii=self.exact_mii,
             verify_iterations=self.verify_iterations,
             observe=self.obs.enabled,
             timeout=self.loop_timeout,
@@ -1420,7 +1328,7 @@ class EvaluationEngine:
             stats.crashes += 1
         elif error_type == "WorkerHang":
             stats.reaped += 1
-        elif classify_failure(error_type) == RESOURCE:
+        elif error_type in ("DeadlineExceeded", "TimeoutError"):
             stats.timeouts += 1
 
     def _run_serial(

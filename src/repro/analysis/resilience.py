@@ -23,10 +23,11 @@ This module holds the policy pieces the reworked execution path composes:
   *recorded but never silent*, first to floor-budget IMS and then to the
   acyclic list scheduler with kernel-only codegen, so every feasible
   loop yields a verified schedule plus a ``degradation_level``;
-* the **checkpoint journal** (:class:`ResultJournal`) — an append-only
-  JSONL of per-loop outcomes written next to the cache, so
-  ``corpus --resume`` after a crash or Ctrl-C replays completed loops
-  from the journal and re-evaluates only the rest;
+* the **durable writer** (:func:`atomic_write`) behind every file the
+  engine keeps — cache entries and ``quarantine.json``: the content
+  reaches the disk before it takes the final name, so the cache is the
+  run's checkpoint and a re-run after a crash or Ctrl-C evaluates only
+  the loops that were never cached;
 * the **quarantine file** — terminal failures serialized to
   ``quarantine.json`` with enough detail (attempted IIs, budget spent,
   taxonomy kind) to be actionable without re-running the corpus.
@@ -42,7 +43,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List
 
 from repro.core.deadline import Deadline, DeadlineExceeded, check_deadline
 
@@ -59,11 +60,10 @@ __all__ = [
     "LEVEL_FULL",
     "LEVEL_RELAXED",
     "LEVEL_LIST_FALLBACK",
-    "ResultJournal",
+    "atomic_write",
     "write_quarantine",
     "load_quarantine",
     "QUARANTINE_FORMAT",
-    "JOURNAL_FORMAT",
 ]
 
 
@@ -180,98 +180,34 @@ DEGRADATION_LEVELS = {
 
 
 # ----------------------------------------------------------------------
-# Checkpoint journal
-
-JOURNAL_FORMAT = "repro.journal.v1"
+# Durable writes
 
 
-class ResultJournal:
-    """Append-only JSONL checkpoint of per-loop outcomes.
+def atomic_write(path, text: str) -> None:
+    """Write ``text`` to ``path`` so no crash leaves it half-written.
 
-    Each line is one completed loop: its content-addressed cache key,
-    corpus position, and either the evaluation payload or the terminal
-    failure record.  The file is append-only and flushed per record, so
-    a crash or Ctrl-C loses at most the line being written —
-    :meth:`load` tolerates a truncated tail.  Keys are content-addressed
-    (loop IR + machine + scheduler config), so records from a run with a
-    different configuration simply never match and resume stays safe
-    without any generation counter.
+    The text goes to a temporary file in the same directory, which is
+    flushed and fsynced before ``os.replace`` gives it the final name.
+    A process death (kill -9, Ctrl-C, an OOM kill) therefore leaves
+    either the old file or the whole new one; after an OS crash a rename
+    that had not reached the disk leaves the old state, never a torn
+    file under the new name.
     """
-
-    def __init__(self, path) -> None:
-        self.path = Path(path)
-        self._stream = None
-
-    # -- writing -------------------------------------------------------
-
-    def append(
-        self,
-        key: str,
-        index: int,
-        loop_name: str,
-        payload: Optional[Dict[str, Any]] = None,
-        failure: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        """Journal one finished loop (exactly one of payload/failure)."""
-        record = {
-            "format": JOURNAL_FORMAT,
-            "key": key,
-            "index": index,
-            "loop": loop_name,
-            "ok": failure is None,
-        }
-        if payload is not None:
-            record["payload"] = payload
-        if failure is not None:
-            record["failure"] = failure
-        if self._stream is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._stream = open(self.path, "a")
-        self._stream.write(json.dumps(record, separators=(",", ":")) + "\n")
-        self._stream.flush()
-        os.fsync(self._stream.fileno())
-
-    def close(self) -> None:
-        """Close the append stream (idempotent)."""
-        if self._stream is not None:
-            self._stream.close()
-            self._stream = None
-
-    def __enter__(self) -> "ResultJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- reading -------------------------------------------------------
-
-    def load(self) -> Dict[str, Dict[str, Any]]:
-        """Map of cache key -> last journaled record (latest wins).
-
-        A truncated or corrupt line (the write the crash interrupted)
-        ends the replay: everything before it is trusted, everything
-        after is ignored — exactly the prefix that was durably written.
-        """
-        records: Dict[str, Dict[str, Any]] = {}
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    handle, temp_name = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+    try:
+        with os.fdopen(handle, "w") as stream:
+            stream.write(text)
+            stream.flush()
+            os.fsync(stream.fileno())
+        os.replace(temp_name, path)
+    except BaseException:
         try:
-            text = self.path.read_text()
+            os.unlink(temp_name)
         except OSError:
-            return records
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                break
-            if (
-                not isinstance(record, dict)
-                or record.get("format") != JOURNAL_FORMAT
-                or not isinstance(record.get("key"), str)
-            ):
-                break
-            records[record["key"]] = record
-        return records
+            pass
+        raise
 
 
 # ----------------------------------------------------------------------
@@ -293,24 +229,12 @@ def write_quarantine(
     makes the record actionable without re-running the corpus.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     document = {
         "format": QUARANTINE_FORMAT,
         "machine": machine_name,
         "entries": list(entries),
     }
-    handle, temp_name = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-    try:
-        with os.fdopen(handle, "w") as stream:
-            json.dump(document, stream, indent=2)
-            stream.write("\n")
-        os.replace(temp_name, path)
-    except BaseException:
-        try:
-            os.unlink(temp_name)
-        except OSError:
-            pass
-        raise
+    atomic_write(path, json.dumps(document, indent=2) + "\n")
     return path
 
 

@@ -129,7 +129,6 @@ def evaluate_loop(
     loop: CorpusLoop,
     machine,
     budget_ratio: float = 6.0,
-    exact_mii: bool = True,
     backend: str = "ims",
 ) -> LoopEvaluation:
     """Schedule one corpus loop and gather every Section-4 measurement.
@@ -143,7 +142,6 @@ def evaluate_loop(
     engine = EvaluationEngine(
         machine,
         budget_ratio=budget_ratio,
-        exact_mii=exact_mii,
         backend=backend,
         degrade=False,
     )

@@ -59,14 +59,10 @@ class IIPolicy:
     max_ii:
         Cap on the II search; ``None`` means the backend's default
         (:func:`repro.core.scheduler.default_max_ii`).
-    exact_mii:
-        Whether a backend computing its own MII should use the exact
-        RecMII search.
     """
 
     budget_ratio: float = 6.0
     max_ii: Optional[int] = None
-    exact_mii: bool = True
 
 
 class SchedulerBackend(abc.ABC):

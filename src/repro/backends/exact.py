@@ -18,18 +18,14 @@ decoded from a SAT model is re-validated from scratch by the
 independent checker (:func:`repro.check.validate.check_schedule`)
 before it is returned.
 
-Solvers: the bundled pure-python CDCL solver
-(:mod:`repro.backends.sat`) always works; z3 is used when installed and
-selected (``solver="auto"`` prefers it, the ``REPRO_SAT_SOLVER``
-environment variable overrides).  If the conflict budget runs out the
-probe reports ``unknown``, the heuristic schedule is returned and
-``optimal`` stays ``None`` — the backend never claims a proof it does
-not hold.
+The solver is the bundled pure-python CDCL solver
+(:mod:`repro.backends.sat`).  If its conflict budget runs out the probe
+reports ``unknown``, the heuristic schedule is returned and ``optimal``
+stays ``None`` — the backend never claims a proof it does not hold.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional
 
 from repro.backends.base import AttemptRecord, IIPolicy, SchedulerBackend
@@ -43,7 +39,6 @@ from repro.backends.encode import (
 )
 from repro.backends.registry import register
 from repro.backends.sat import SAT, UNSAT, SolverResult, solve as cdcl_solve
-from repro.backends.z3bridge import SolverUnavailable, solve_with_z3, z3_available
 from repro.baselines.list_scheduler import list_schedule
 from repro.check.validate import check_schedule
 from repro.core.deadline import Deadline, check_deadline
@@ -74,8 +69,6 @@ DEFAULT_MAX_TIME_VARS = 25_000
 #: even when their time windows fit the budget above.
 DEFAULT_MAX_CLAUSES = 60_000
 
-_SOLVERS = ("auto", "cdcl", "z3")
-
 
 @register
 class ExactBackend(SchedulerBackend):
@@ -87,46 +80,15 @@ class ExactBackend(SchedulerBackend):
 
     def __init__(
         self,
-        solver: str = "auto",
         max_conflicts: int = DEFAULT_MAX_CONFLICTS,
         max_time_vars: int = DEFAULT_MAX_TIME_VARS,
         max_clauses: int = DEFAULT_MAX_CLAUSES,
     ) -> None:
-        if solver not in _SOLVERS:
-            raise ValueError(
-                f"unknown SAT solver {solver!r}; choose from "
-                f"{', '.join(_SOLVERS)}"
-            )
-        if solver == "auto":
-            solver = os.environ.get("REPRO_SAT_SOLVER", "auto")
-            if solver not in _SOLVERS:
-                raise ValueError(
-                    f"REPRO_SAT_SOLVER={solver!r} is not one of "
-                    f"{', '.join(_SOLVERS)}"
-                )
-        if solver == "auto":
-            solver = "z3" if z3_available() else "cdcl"
-        if solver == "z3" and not z3_available():
-            raise SolverUnavailable(
-                "solver='z3' was requested but the optional 'z3' package "
-                "is not installed; use solver='cdcl' (built in) or "
-                "solver='auto' to pick automatically"
-            )
-        self.solver = solver
         self.max_conflicts = int(max_conflicts)
         self.max_time_vars = int(max_time_vars)
         self.max_clauses = int(max_clauses)
 
     # ------------------------------------------------------------------
-
-    def _solve_cnf(self, encoding: ExactEncoding) -> SolverResult:
-        if self.solver == "z3":
-            return solve_with_z3(
-                encoding.n_vars, encoding.clauses, self.max_conflicts
-            )
-        return cdcl_solve(
-            encoding.n_vars, encoding.clauses, max_conflicts=self.max_conflicts
-        )
 
     @staticmethod
     def _certificate(
@@ -140,7 +102,7 @@ class ExactBackend(SchedulerBackend):
         else:
             cert["reason"] = encoding.reason
         if result is not None:
-            cert["solver"] = result.stats.get("solver", "cdcl")
+            cert["solver"] = "cdcl"
             if "conflicts" in result.stats:
                 cert["conflicts"] = result.stats["conflicts"]
         return cert
@@ -189,7 +151,11 @@ class ExactBackend(SchedulerBackend):
                 # of burning an inconclusive refutation on this one.
                 slack = full_slack
                 continue
-            result = self._solve_cnf(encoding)
+            result = cdcl_solve(
+                encoding.n_vars,
+                encoding.clauses,
+                max_conflicts=self.max_conflicts,
+            )
             if result.status == SAT:
                 return "sat", encoding, result
             if result.status != UNSAT:
@@ -232,8 +198,7 @@ class ExactBackend(SchedulerBackend):
         counters = counters if counters is not None else Counters()
         if mii_result is None:
             mii_result = compute_mii(
-                graph, machine, counters, exact=policy.exact_mii, obs=obs,
-                deadline=deadline,
+                graph, machine, counters, obs=obs, deadline=deadline
             )
         mii = mii_result.mii
 
@@ -248,7 +213,6 @@ class ExactBackend(SchedulerBackend):
                 counters=counters,
                 mii_result=mii_result,
                 max_ii=policy.max_ii,
-                exact_mii=policy.exact_mii,
                 trace=trace,
                 obs=obs,
                 deadline=deadline,
@@ -312,7 +276,7 @@ class ExactBackend(SchedulerBackend):
             )
 
         with obs.span(
-            "schedule.exact", graph=graph.name, solver=self.solver
+            "schedule.exact", graph=graph.name, solver="cdcl"
         ) as span:
             span.set("mii", mii)
             span.set("heuristic_ii", ii_h)

@@ -47,7 +47,6 @@ class IMSBackend(SchedulerBackend):
             counters=counters,
             mii_result=mii_result,
             max_ii=policy.max_ii,
-            exact_mii=policy.exact_mii,
             trace=trace,
             obs=obs,
             deadline=deadline,

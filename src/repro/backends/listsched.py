@@ -49,8 +49,7 @@ class ListBackend(SchedulerBackend):
         check_deadline(deadline, "list schedule")
         if mii_result is None:
             mii_result = compute_mii(
-                graph, machine, counters, exact=policy.exact_mii, obs=obs,
-                deadline=deadline,
+                graph, machine, counters, obs=obs, deadline=deadline
             )
         with obs.span("schedule", graph=graph.name, style="list") as span:
             schedule = list_schedule(graph, machine, counters)

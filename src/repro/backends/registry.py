@@ -38,7 +38,7 @@ def get_backend(name: str, **options) -> SchedulerBackend:
     """Instantiate the backend registered under ``name``.
 
     ``options`` are forwarded to the backend's constructor (e.g. the
-    exact backend's ``solver=`` / ``max_conflicts=``).  Raises
+    exact backend's ``max_conflicts=``).  Raises
     :class:`ValueError` for an unknown name — the engine and the CLI
     surface that as a clean configuration error.
     """

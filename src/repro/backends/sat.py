@@ -4,10 +4,9 @@ The exact modulo-scheduling backend (:mod:`repro.backends.exact`) decides
 "does a legal schedule exist at this II?" by encoding the dependence and
 modulo-reservation constraints into CNF and asking a SAT solver — the
 SAT-based exact scheduling line of SAT-MapIt (Tirelli et al.) and the
-SMT formulation of Roorda.  The container must not grow dependencies, so
-the default engine is this pure-python conflict-driven clause-learning
-solver; :mod:`repro.backends.z3bridge` swaps in ``z3`` when (and only
-when) it is importable.
+SMT formulation of Roorda.  The package takes no third-party solver
+dependency, so the engine is this pure-python conflict-driven
+clause-learning solver.
 
 The implementation is textbook MiniSat:
 

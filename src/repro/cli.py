@@ -122,16 +122,14 @@ def _backend_argument(parser: argparse.ArgumentParser) -> None:
 def _resolve_backend(args):
     """Instantiate args.backend, or print an error and return None.
 
-    Backend construction can fail cleanly (unknown name, or an exact
-    solver requested via REPRO_SAT_SOLVER that is not installed); both
-    become exit code 2 in the caller, never a traceback.
+    An unknown name fails cleanly: exit code 2 in the caller, never a
+    traceback.
     """
     from repro.backends import get_backend
-    from repro.backends.z3bridge import SolverUnavailable
 
     try:
         return get_backend(args.backend)
-    except (ValueError, SolverUnavailable) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
 
@@ -494,8 +492,6 @@ def _cmd_corpus(args, out) -> int:
             loop_timeout=args.loop_timeout,
             retry_policy=RetryPolicy(max_retries=args.retries),
             degrade=not args.no_degrade,
-            journal_path=args.journal,
-            resume=args.resume,
             quarantine_path=args.quarantine,
             check=args.check,
             profile_interval=(
@@ -727,16 +723,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-degrade", action="store_true",
         help="fail a loop outright on budget/deadline exhaustion instead "
              "of falling back to relaxed IMS / list scheduling",
-    )
-    corpus.add_argument(
-        "--journal", default=None, metavar="FILE",
-        help="append-only per-loop checkpoint journal "
-             "(default <cache-dir>/journal.jsonl when caching)",
-    )
-    corpus.add_argument(
-        "--resume", action="store_true",
-        help="replay loops already completed in the journal and evaluate "
-             "only the rest (needs --cache-dir or --journal)",
     )
     corpus.add_argument(
         "--quarantine", default=None, metavar="FILE",

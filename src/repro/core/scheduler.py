@@ -102,7 +102,7 @@ class AttemptRecord:
     only the *last* call's attempts and nothing recorded which scheduler
     produced which rung.  Attempt records fix that: every backend tags
     each candidate II it tries with its own name, the ladder concatenates
-    the records across rungs, and the journal payload carries the full
+    the records across rungs, and the cache payload carries the full
     sequence.
 
     ``steps`` is the backend's unit of search effort — operation
@@ -117,7 +117,7 @@ class AttemptRecord:
     reason: str = ""
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-compatible form for cache/journal payloads."""
+        """JSON-compatible form for cache payloads."""
         return {
             "backend": self.backend,
             "ii": self.ii,
@@ -626,7 +626,6 @@ def modulo_schedule(
     counters: Optional[Counters] = None,
     mii_result: Optional[MIIResult] = None,
     max_ii: Optional[int] = None,
-    exact_mii: bool = True,
     priority: str = "heightr",
     style: str = "operation",
     trace=None,
@@ -652,9 +651,6 @@ def modulo_schedule(
         A precomputed MII (to avoid recomputation in sweeps).
     max_ii:
         Cap on the II search; :class:`SchedulingFailure` is raised beyond it.
-    exact_mii:
-        Forwarded to :func:`repro.core.mii.compute_mii` when ``mii_result``
-        is not supplied.
     priority:
         Name of the scheduling priority scheme (see ``PRIORITY_SCHEMES``);
         ``"heightr"`` is the paper's, the others exist for ablations.
@@ -710,8 +706,7 @@ def modulo_schedule(
     counters = counters if counters is not None else Counters()
     if mii_result is None:
         mii_result = compute_mii(
-            graph, machine, counters, exact=exact_mii, obs=obs,
-            deadline=deadline,
+            graph, machine, counters, obs=obs, deadline=deadline
         )
     if max_ii is None:
         max_ii = default_max_ii(graph, mii_result.mii)

@@ -215,9 +215,7 @@ def _hit_rate(counters: Dict[str, float]) -> Optional[float]:
 
 def _is_resilience_tally(name: str) -> bool:
     """Whether a counter tallies fault events (docs/RESILIENCE.md)."""
-    return name.startswith("resilience.") or name in (
-        "cache.corrupt", "engine.resume.skipped"
-    )
+    return name.startswith("resilience.") or name == "cache.corrupt"
 
 
 def _failure_kinds(store: RunStore, run_id: str) -> Dict[str, int]:

@@ -36,8 +36,7 @@ those questions become queries:
     failure kind and phase; its direct children the per-phase seconds;
     its ``schedule`` and ``schedule.attempt`` descendants the MII,
     attempt count and displacement/forcing tallies; the ``cache.load``
-    and ``journal.replay`` spans whether the loop was a cache hit or
-    resumed from the journal.
+    span whether the loop was a cache hit.
 
 ``profile_samples``
     Collapsed call stacks from the sampling profiler
@@ -70,7 +69,7 @@ from repro.obs.schema import (
     validate_records,
 )
 
-_SCHEMA_VERSION = 2  # v2: loop rows and run tallies come from the export alone
+_SCHEMA_VERSION = 3  # v3: loop rows lost the resumed column
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS runs (
@@ -111,7 +110,6 @@ CREATE TABLE IF NOT EXISTS loops (
     idx       INTEGER NOT NULL,
     name      TEXT,
     cache_hit INTEGER NOT NULL,
-    resumed   INTEGER NOT NULL,
     ok        INTEGER NOT NULL,
     wall      REAL NOT NULL,
     seconds_json TEXT NOT NULL,
@@ -141,8 +139,8 @@ CREATE TABLE IF NOT EXISTS bench_runs (
 """
 
 #: The spans the engine opens per corpus loop, each labelled with the
-#: loop's ``index``: its evaluation, its cache probe and its journal replay.
-_LOOP_SPANS = ("loop", "cache.load", "journal.replay")
+#: loop's ``index``: its evaluation and its cache probe.
+_LOOP_SPANS = ("loop", "cache.load")
 
 #: ``loop`` span attribute -> ``loops`` column.
 _LOOP_ATTRS = (
@@ -390,7 +388,7 @@ class RunStore:
                 return None
             return rows.setdefault(index, {
                 "name": span["attrs"].get("loop"), "cache_hit": False,
-                "resumed": False, "ok": None, "wall": 0.0, "seconds": {},
+                "ok": None, "wall": 0.0, "seconds": {},
                 "ii": None, "mii": None, "attempts": None, "displaced": 0,
                 "forced": 0, "degraded": None, "failure_kind": None,
                 "failure_phase": None,
@@ -408,8 +406,7 @@ class RunStore:
                         if attr in attrs:
                             row[column] = attrs[attr]
                 else:
-                    column = "cache_hit" if name == "cache.load" else "resumed"
-                    row[column] = row[column] or bool(attrs.get("hit"))
+                    row["cache_hit"] = bool(attrs.get("hit"))
                     seconds = row["seconds"]
                     seconds[name] = seconds.get(name, 0.0) + span["dur"]
                 continue
@@ -430,12 +427,12 @@ class RunStore:
                 row["displaced"] += attrs.get("displaced", 0)
                 row["forced"] += attrs.get("forced", 0)
         for index, row in rows.items():
-            if row["ok"] is None:  # served from the cache or the journal
-                row["ok"] = row["cache_hit"] or row["resumed"]
+            if row["ok"] is None:  # served from the cache
+                row["ok"] = row["cache_hit"]
             row["seconds"] = json.dumps(row["seconds"], sort_keys=True)
             self._db.execute(
                 "INSERT INTO loops VALUES (:run_id, :idx, :name, :cache_hit, "
-                ":resumed, :ok, :wall, :seconds, :ii, :mii, :attempts, "
+                ":ok, :wall, :seconds, :ii, :mii, :attempts, "
                 ":displaced, :forced, :degraded, :failure_kind, "
                 ":failure_phase)",
                 {"run_id": run_id, "idx": index, **row},

@@ -178,12 +178,6 @@ class TestCacheKey:
             graph, machine, budget_ratio=2.0
         )
 
-    def test_exact_mii_changes_key(self, machine):
-        graph = _recurrence_graph(machine)
-        assert cache_key(graph, machine, exact_mii=True) != cache_key(
-            graph, machine, exact_mii=False
-        )
-
     def test_verify_iterations_changes_key(self, machine):
         graph = _recurrence_graph(machine)
         assert cache_key(graph, machine, verify_iterations=0) != cache_key(
@@ -354,10 +348,9 @@ class TestCache:
         self, machine, corpus, tmp_path, monkeypatch
     ):
         """``--no-cache`` is ``cache_dir=None``: the run writes no cache
-        entry, journal or quarantine file anywhere."""
+        entry or quarantine file anywhere."""
         monkeypatch.chdir(tmp_path)
         engine = EvaluationEngine(machine, cache_dir=None)
-        assert engine.journal_path is None
         assert engine.quarantine_path is None
         result = engine.evaluate([*corpus[:2], _infeasible_loop(machine)])
         assert not result.cache_enabled and result.hits == 0
@@ -451,7 +444,7 @@ class TestTimingReport:
         ]
         timing = result.timings[0]
         assert timing.key == engine.key_for(corpus[0])
-        assert not timing.cache_hit and not timing.resumed
+        assert not timing.cache_hit
         assert timing.seconds["total"] > 0.0
 
     def test_write_and_load_round_trip(self, machine, corpus, tmp_path):

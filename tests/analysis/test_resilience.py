@@ -3,14 +3,16 @@
 Every resilience mechanism is exercised against the real engine with
 deterministic injected faults (:mod:`repro.analysis.faultinject`): the
 cooperative/SIGALRM watchdog, the pool reaper, crash-isolated retries,
-the degradation ladder, cache-corruption recovery, checkpoint/resume and
-the quarantine.  The load-bearing property throughout: after transient
-faults are retried away, results are *bit-identical* to a clean run.
+the degradation ladder, cache-corruption recovery, the cache as the
+run's checkpoint and the quarantine.  The load-bearing property
+throughout: after transient faults are retried away, results are
+*bit-identical* to a clean run.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import pickle
 import time
 
@@ -36,9 +38,9 @@ from repro.analysis.resilience import (
     Deadline,
     DeadlineExceeded,
     RESOURCE,
-    ResultJournal,
     RetryPolicy,
     TRANSIENT,
+    atomic_write,
     classify_failure,
     load_quarantine,
     write_quarantine,
@@ -182,31 +184,52 @@ class TestFaultSpec:
         assert not FaultPlan.from_env({})
 
 
-class TestJournal:
-    def test_append_load_round_trip(self, tmp_path):
-        journal = ResultJournal(tmp_path / "j.jsonl")
-        with journal:
-            journal.append("k1", 0, "a", payload={"format": "x", "ii": 3})
-            journal.append("k2", 1, "b", failure={"error_type": "Boom"})
-            journal.append("k1", 0, "a", payload={"format": "x", "ii": 4})
-        records = journal.load()
-        assert set(records) == {"k1", "k2"}
-        assert records["k1"]["payload"]["ii"] == 4  # latest wins
-        assert not records["k2"]["ok"]
+class TestDurableWrites:
+    def test_fsync_precedes_rename(
+        self, machine, corpus, tmp_path, monkeypatch
+    ):
+        """Cache entries and quarantine.json share one writer, which
+        fsyncs the temp file before renaming it into place."""
+        events = []
+        real_fsync, real_replace = os.fsync, os.replace
 
-    def test_truncated_tail_is_tolerated(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        with ResultJournal(path) as journal:
-            journal.append("k1", 0, "a", payload={"format": "x"})
-            journal.append("k2", 1, "b", payload={"format": "x"})
-        # Simulate the crash-interrupted write: clip the last line.
-        text = path.read_text()
-        path.write_text(text[: text.rindex("\n", 0, len(text) - 1) + 1 + 10])
-        records = ResultJournal(path).load()
-        assert set(records) == {"k1"}
+        def fsync(fd):
+            events.append(("fsync", os.fstat(fd).st_ino))
+            real_fsync(fd)
 
-    def test_missing_file_loads_empty(self, tmp_path):
-        assert ResultJournal(tmp_path / "absent.jsonl").load() == {}
+        def replace(src, dst):
+            events.append(("replace", os.stat(src).st_ino, os.fspath(dst)))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        engine = EvaluationEngine(
+            machine, cache_dir=tmp_path / "cache", fault_plan=NULL_PLAN
+        )
+        engine.evaluate(corpus[:2])
+
+        renamed = [event for event in events if event[0] == "replace"]
+        assert sorted(event[2] for event in renamed) == sorted(
+            [str(engine.cache_path(engine.key_for(loop)))
+             for loop in corpus[:2]]
+            + [str(engine.quarantine_path)]
+        )
+        for position, event in enumerate(events):
+            if event[0] == "replace":
+                assert ("fsync", event[1]) in events[:position], event
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "entry.json"
+        atomic_write(path, "old")
+
+        def interrupted(fd):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "fsync", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            atomic_write(path, "new")
+        assert path.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["entry.json"]
 
 
 class TestQuarantine:
@@ -381,6 +404,40 @@ class TestWatchdogAndReaper:
         assert result.timeouts == 1 and result.retries == 1
         assert _bytes_of(result, machine) == _bytes_of(clean, machine)
 
+    @pytest.mark.parametrize("retries", [0, 1])
+    def test_memory_error_is_not_a_timeout(self, machine, corpus, retries):
+        obs = ObsContext()
+        engine = EvaluationEngine(
+            machine,
+            obs=obs,
+            retry_policy=RetryPolicy(max_retries=retries, backoff_base=0.0),
+            fault_plan=parse_fault_spec("raise@0:MemoryError"),
+        )
+        result = engine.evaluate(corpus[:3])
+        assert result.timeouts == 0 and result.retries == retries
+        assert "resilience.timeouts" not in obs.metrics.snapshot()["counters"]
+        if retries:
+            assert result.ok
+        else:
+            (failure,) = result.failures
+            assert failure.error_type == "MemoryError"
+            assert failure.kind == RESOURCE
+
+    def test_repeated_memory_error_is_retried_then_quarantined(
+        self, machine, corpus, tmp_path
+    ):
+        engine = EvaluationEngine(
+            machine,
+            quarantine_path=tmp_path / "quarantine.json",
+            retry_policy=RetryPolicy(max_retries=1, backoff_base=0.0),
+            fault_plan=parse_fault_spec("raise@0:MemoryError!"),
+        )
+        result = engine.evaluate(corpus[:3])
+        (failure,) = result.failures
+        assert failure.kind == RESOURCE and failure.attempts == 2
+        assert result.retries == 1 and result.quarantined == 1
+        assert result.timeouts == 0
+
     def test_hung_worker_is_reaped_and_loop_retried(
         self, machine, corpus, clean
     ):
@@ -521,101 +578,61 @@ class TestCorruptionInjection:
         assert _bytes_of(second, machine) == _bytes_of(clean, machine)
 
 
-class TestCheckpointResume:
-    def test_resume_skips_journaled_loops(self, machine, corpus, tmp_path):
-        journal = tmp_path / "journal.jsonl"
-        first = EvaluationEngine(
-            machine, journal_path=journal, fault_plan=NULL_PLAN
-        ).evaluate(corpus[:2])
-        assert first.ok
+class TestCacheCheckpoint:
+    def test_rerun_after_interrupt_hits_finished_loops(
+        self, machine, corpus, tmp_path, monkeypatch, clean
+    ):
+        """A Ctrl-C on the third loop keeps the two loops finished before
+        it; re-running the same engine over the cache hits them and
+        evaluates the rest, and the results match an uninterrupted run."""
+        real = engine_module.modulo_schedule
+        calls = []
 
-        # "Restart" over the full corpus: only the unfinished loops run.
-        obs = ObsContext()
-        resumed = EvaluationEngine(
-            machine, journal_path=journal, resume=True, obs=obs,
-            fault_plan=NULL_PLAN,
-        ).evaluate(corpus)
-        assert resumed.ok
-        assert resumed.resume_skipped == 2
-        assert resumed.misses == len(corpus) - 2
-        assert [t.resumed for t in resumed.timings] == (
+        def interrupt_third(graph, machine_, **kwargs):
+            calls.append(graph.name)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return real(graph, machine_, **kwargs)
+
+        monkeypatch.setattr(engine_module, "modulo_schedule", interrupt_third)
+        cache = tmp_path / "cache"
+        engine = EvaluationEngine(
+            machine, cache_dir=cache, fault_plan=NULL_PLAN
+        )
+        with pytest.raises(KeyboardInterrupt):
+            engine.evaluate(corpus)
+        assert len(list(cache.glob("??/*.json"))) == 2
+        assert not list(cache.glob("??/*.tmp"))
+
+        monkeypatch.setattr(engine_module, "modulo_schedule", real)
+        rerun = engine.evaluate(corpus)
+        assert rerun.ok
+        assert rerun.hits == 2 and rerun.misses == len(corpus) - 2
+        assert [t.cache_hit for t in rerun.timings] == (
             [True, True] + [False] * (len(corpus) - 2)
         )
-        assert (
-            obs.metrics.snapshot()["counters"]["engine.resume.skipped"] == 2
-        )
+        assert _bytes_of(rerun, machine) == _bytes_of(clean, machine)
 
-        clean = EvaluationEngine(machine, fault_plan=NULL_PLAN).evaluate(
-            corpus
-        )
-        assert _bytes_of(resumed, machine) == _bytes_of(clean, machine)
-
-    def test_mid_run_kill_leaves_a_resumable_journal(
-        self, machine, corpus, tmp_path
-    ):
-        # Simulate dying mid-run: keep only the journal prefix plus a
-        # torn final line, exactly what fsync-per-record guarantees.
-        journal = tmp_path / "journal.jsonl"
-        EvaluationEngine(
-            machine, journal_path=journal, fault_plan=NULL_PLAN
-        ).evaluate(corpus)
-        lines = journal.read_text().splitlines(keepends=True)
-        journal.write_text("".join(lines[:2]) + lines[2][:25])
-
-        resumed = EvaluationEngine(
-            machine, journal_path=journal, resume=True, fault_plan=NULL_PLAN
-        ).evaluate(corpus)
-        assert resumed.ok
-        assert resumed.resume_skipped == 2
-        assert resumed.misses == len(corpus) - 2
-
-    def test_undecodable_journaled_payload_is_reevaluated(
+    def test_leftover_journal_is_ignored(
         self, machine, corpus, tmp_path, clean
     ):
-        journal = tmp_path / "journal.jsonl"
-        EvaluationEngine(
-            machine, journal_path=journal, fault_plan=NULL_PLAN
-        ).evaluate(corpus[:2])
-        lines = journal.read_text().splitlines()
-        record = json.loads(lines[0])
-        alternatives = record["payload"]["schedule"]["alternatives"]
-        op = next(op for op, name in alternatives.items() if name is not None)
-        alternatives[op] = "no-such-alternative"
-        journal.write_text("\n".join([json.dumps(record), *lines[1:]]) + "\n")
-
-        resumed = EvaluationEngine(
-            machine, journal_path=journal, resume=True, fault_plan=NULL_PLAN
+        """Older builds kept a checkpoint journal in the cache directory;
+        a run over such a directory neither reads nor touches it."""
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        journal = cache / "journal.jsonl"
+        journal.write_text(json.dumps(
+            {"format": "repro.journal.v1", "key": "k", "index": 0,
+             "loop": corpus[0].name, "ok": True, "payload": {}}
+        ) + "\n")
+        before = journal.read_bytes()
+        result = EvaluationEngine(
+            machine, cache_dir=cache, fault_plan=NULL_PLAN
         ).evaluate(corpus)
-        assert resumed.ok
-        assert resumed.resume_skipped == 1
-        assert resumed.misses == len(corpus) - 1
-        assert [
-            line for line in resumed.diagnostics if "did not decode" in line
-        ] == [
-            f"resume: journaled payload for {record['loop']} did not "
-            "decode; re-evaluating"
-        ]
-        assert _bytes_of(resumed, machine) == _bytes_of(clean, machine)
-
-    def test_resume_without_journal_is_an_error(self, machine):
-        with pytest.raises(ValueError, match="journal"):
-            EvaluationEngine(machine, resume=True)
-
-    def test_config_change_invalidates_journal_records(
-        self, machine, corpus, tmp_path
-    ):
-        journal = tmp_path / "journal.jsonl"
-        EvaluationEngine(
-            machine, journal_path=journal, fault_plan=NULL_PLAN
-        ).evaluate(corpus[:2])
-        # Different budget ratio -> different content-addressed keys ->
-        # nothing resumes, nothing stale is served.
-        other = EvaluationEngine(
-            machine, budget_ratio=2.0, journal_path=journal, resume=True,
-            fault_plan=NULL_PLAN,
-        ).evaluate(corpus[:2])
-        assert other.resume_skipped == 0
-        assert other.misses == 2
+        assert result.ok and result.misses == len(corpus)
+        assert result.cache_corrupt == 0 and not result.diagnostics
+        assert journal.read_bytes() == before
+        assert _bytes_of(result, machine) == _bytes_of(clean, machine)
 
 
 class TestObsIdentityUnderFaults:
@@ -645,7 +662,6 @@ class TestObsIdentityUnderFaults:
         )
         names = list(obs.metrics.snapshot()["counters"])
         assert not [n for n in names if n.startswith("resilience.")]
-        assert "engine.resume.skipped" not in names
         assert "cache.corrupt" not in names
 
 
@@ -666,27 +682,30 @@ class TestCli:
         )
         assert code == 0
         assert "engine:" in out.getvalue()
-        assert (tmp_path / "cache" / "journal.jsonl").is_file()
         assert (tmp_path / "cache" / "quarantine.json").is_file()
+        assert not (tmp_path / "cache" / "journal.jsonl").exists()
 
-    def test_corpus_resume_without_journal_exits_2(self, tmp_path):
+    @pytest.mark.parametrize(
+        "flags", [["--resume"], ["--journal", "j.jsonl"]],
+        ids=["resume", "journal"],
+    )
+    def test_corpus_rejects_resume_and_journal(self, flags, capsys):
         import io
 
         from repro.cli import main
 
-        code = main(
-            ["corpus", "--loops", "4", "--no-cache", "--resume"],
-            out=io.StringIO(),
-        )
-        assert code == 2
+        with pytest.raises(SystemExit) as exit_:
+            main(["corpus", "--loops", "4", *flags], out=io.StringIO())
+        assert exit_.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestAttemptMetadataNormalization:
-    """The ladder journals *which backend* tried every candidate II.
+    """The ladder records *which backend* tried every candidate II.
 
     Before attempt records were normalized, a degraded payload only
-    said "list-fallback" at the top level — the journal could not tell
-    which rung (full IMS, relaxed IMS, list) produced which candidate
+    said "list-fallback" at the top level — the cache entry could not
+    tell which rung (full IMS, relaxed IMS, list) produced which candidate
     II.  Every rung now contributes AttemptRecords naming its backend,
     concatenated in ladder order, and they survive the cache payload.
     """
@@ -703,12 +722,8 @@ class TestAttemptMetadataNormalization:
         monkeypatch.setattr(
             engine_module, "modulo_schedule", self._out_of_budget
         )
-        journal = tmp_path / "journal.jsonl"
         engine = EvaluationEngine(
-            machine,
-            cache_dir=tmp_path / "cache",
-            journal_path=journal,
-            fault_plan=NULL_PLAN,
+            machine, cache_dir=tmp_path / "cache", fault_plan=NULL_PLAN
         )
         result = engine.evaluate(corpus[:1])
         assert result.ok and result.degraded == 1
@@ -725,31 +740,22 @@ class TestAttemptMetadataNormalization:
         assert records[-1].reason == "scheduled"
         assert records[-1].ii == evaluation.ii
 
-    def test_journal_payload_round_trips_the_records(
+    def test_cache_entry_keeps_the_records(
         self, machine, corpus, tmp_path, monkeypatch
     ):
         real = engine_module.modulo_schedule
         monkeypatch.setattr(
             engine_module, "modulo_schedule", self._out_of_budget
         )
-        journal = tmp_path / "journal.jsonl"
         engine = EvaluationEngine(
-            machine,
-            cache_dir=tmp_path / "cache",
-            journal_path=journal,
-            fault_plan=NULL_PLAN,
+            machine, cache_dir=tmp_path / "cache", fault_plan=NULL_PLAN
         )
         cold = engine.evaluate(corpus[:1])
         records = cold.evaluations[0].result.attempt_records
 
-        # The journal's payload carries the same normalized records.
-        payloads = [
-            json.loads(line)["payload"]
-            for line in journal.read_text().splitlines()
-            if line.strip() and json.loads(line).get("ok")
-        ]
-        assert len(payloads) == 1
-        search = payloads[0]["search"]
+        # The cache entry's payload carries the same normalized records.
+        entry = engine.cache_path(engine.key_for(corpus[0]))
+        search = json.loads(entry.read_text())["search"]
         assert search["backend"] == "list"
         assert [r["backend"] for r in search["attempt_records"]] == (
             ["ims"] * 4 + ["list"]

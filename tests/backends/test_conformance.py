@@ -19,7 +19,6 @@ from repro.analysis.engine import (
 )
 from repro.analysis.runner import evaluate_loop
 from repro.backends import IIPolicy, SchedulerBackend, backend_names, get_backend
-from repro.backends.z3bridge import SolverUnavailable, z3_available
 from repro.check import check_schedule
 from repro.core import compute_mii
 from repro.core.scheduler import default_max_ii
@@ -179,25 +178,3 @@ class TestCacheAndPayload:
         )
         assert restored.result.certificates == evaluation.result.certificates
         assert restored.ii == evaluation.ii
-
-
-class TestSolverGating:
-    def test_z3_absence_is_gated_not_fatal(self):
-        # The exact backend must construct (and solve) without z3 ...
-        backend = get_backend("exact")
-        assert backend.solver in ("cdcl", "z3")
-        if not z3_available():
-            assert backend.solver == "cdcl"
-
-    def test_explicit_z3_without_package_raises(self, monkeypatch):
-        if z3_available():
-            pytest.skip("z3 installed; the gate cannot trip")
-        with pytest.raises(SolverUnavailable):
-            get_backend("exact", solver="z3")
-
-    def test_env_selected_z3_without_package_raises(self, monkeypatch):
-        if z3_available():
-            pytest.skip("z3 installed; the gate cannot trip")
-        monkeypatch.setenv("REPRO_SAT_SOLVER", "z3")
-        with pytest.raises(SolverUnavailable):
-            get_backend("exact")

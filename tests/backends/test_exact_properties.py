@@ -165,6 +165,8 @@ class TestKnownCounterexample:
         assert result.optimal is True
         assert result.certificates[3]["status"] in ("unsat", "infeasible")
         assert result.certificates[4]["status"] == "sat"
+        if result.certificates[3]["status"] == "unsat":
+            assert result.certificates[3]["solver"] == "cdcl"
         assert check_schedule(graph, machine, result.schedule).ok
 
     def test_retimed_below_proof_fails_validation(self, instance):

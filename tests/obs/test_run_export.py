@@ -2,8 +2,8 @@
 
 Rau reports IMS loop by loop (Tables 3 and 4), so the run store must be
 able to rebuild one row per corpus loop from the export with no other
-artifact: not only for loops a worker evaluated, but for cache hits,
-journal replays and loops lost with a crashed worker too.  The export
+artifact: not only for loops a worker evaluated, but for cache hits
+and loops lost with a crashed worker too.  The export
 is also the run's only serialized record, so each tally the engine
 reports on its result is a metric of the export.
 """
@@ -22,7 +22,7 @@ from repro.obs.store import RunStore
 from repro.workloads import build_corpus
 from tests.conftest import export_counters
 
-WAYS = ("cold", "warm", "resume", "crash", "crash-retried", "truncated")
+WAYS = ("cold", "warm", "crash", "crash-retried", "truncated")
 
 #: The result's run tallies and the export metric carrying each one; a
 #: metric the run never ticked reads as 0.
@@ -35,7 +35,6 @@ TALLIES = {
     "crashes": "resilience.crashes",
     "reaped": "resilience.reaped",
     "degraded": "resilience.degraded",
-    "resume_skipped": "engine.resume.skipped",
     "cache_corrupt": "cache.corrupt",
     "quarantined": "resilience.quarantined",
 }
@@ -53,10 +52,10 @@ def corpus(machine):
 
 @pytest.fixture(scope="module")
 def runs(machine, corpus, tmp_path_factory):
-    """The corpus evaluated six ways, each traced by its own context.
+    """The corpus evaluated five ways, each traced by its own context.
 
-    Cold fills the cache and the journal, warm is served by the cache,
-    resume replays the journal, and at jobs=2 an injected crash with no
+    Cold fills the cache, warm is served by it, and at jobs=2 an
+    injected crash with no
     retries loses every loop in flight with the dead worker; with
     retries the same crash loses none.  Last, one truncated cache entry
     is detected, re-evaluated and rewritten.
@@ -71,7 +70,6 @@ def runs(machine, corpus, tmp_path_factory):
     ways = {
         "cold": run(cache_dir=cache),
         "warm": run(cache_dir=cache),
-        "resume": run(cache_dir=cache, resume=True),
         "crash": run(
             jobs=2,
             fault_plan=parse_fault_spec("crash@3"),
@@ -89,7 +87,6 @@ def runs(machine, corpus, tmp_path_factory):
     n = len(corpus)
     assert ways["cold"][1].misses == n
     assert ways["warm"][1].hits == n
-    assert ways["resume"][1].resume_skipped == n
     crashed = ways["crash"][1]
     assert crashed.crashes and 3 in {f.index for f in crashed.failures}
     retried = ways["crash-retried"][1]
@@ -107,8 +104,7 @@ def test_export_alone_gives_one_row_per_loop(runs, corpus, way, tmp_path):
         run_id = store.ingest_path(export).run_id
         rows = [
             (row["idx"], row["name"], bool(row["cache_hit"]),
-             bool(row["resumed"]), bool(row["ok"]), row["failure_kind"],
-             row["failure_phase"])
+             bool(row["ok"]), row["failure_kind"], row["failure_phase"])
             for row in store.loop_rows(run_id)
         ]
         run = store.run_row(run_id)
@@ -119,8 +115,7 @@ def test_export_alone_gives_one_row_per_loop(runs, corpus, way, tmp_path):
         failure = failures.get(timing.index)
         expected.append(
             (timing.index, timing.loop_name, timing.cache_hit,
-             timing.resumed, failure is None,
-             failure.kind if failure else None,
+             failure is None, failure.kind if failure else None,
              failure.phase if failure else None)
         )
     assert rows == expected

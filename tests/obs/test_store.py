@@ -37,16 +37,14 @@ def _snapshot():
 
 
 def _served_snapshot():
-    """A run whose loops never reached a worker: cache hit, cache miss
-    whose evaluation failed in a dead worker, and a journal replay."""
+    """A run whose loops never reached a worker: a cache hit, and a cache
+    miss whose evaluation failed in a dead worker."""
     obs = ObsContext()
-    with obs.span("corpus.evaluate", loops=3):
+    with obs.span("corpus.evaluate", loops=2):
         with obs.span("cache.load", loop="dot", index=0) as load:
             load.set("hit", True)
         with obs.span("cache.load", loop="fir", index=1) as load:
             load.set("hit", False)
-        with obs.span("journal.replay", loop="iir", index=2) as replay:
-            replay.set("hit", True)
         with obs.span(
             "loop", loop="fir", index=1, ok=False, failed_phase="pool",
             kind="transient",
@@ -159,25 +157,24 @@ class TestLoopAttribution:
         }
         assert dot["wall"] == by_name["loop"]["dur"]
 
-    def test_hits_and_replays_become_loop_rows(self, store):
+    def test_served_loops_become_loop_rows(self, store):
         result = store.ingest_records(
             records_from_snapshot(_served_snapshot())
         )
         loops = {
-            row["idx"]: (row["cache_hit"], row["resumed"], row["ok"],
+            row["idx"]: (row["cache_hit"], row["ok"],
                          row["failure_kind"], row["failure_phase"])
             for row in store.loop_rows(result.run_id)
         }
         assert loops == {
-            0: (1, 0, 1, None, None),
-            1: (0, 0, 0, "transient", "pool"),
-            2: (0, 1, 1, None, None),
+            0: (1, 1, None, None),
+            1: (0, 0, "transient", "pool"),
         }
         seconds = [
             set(json.loads(row["seconds_json"]))
             for row in store.loop_rows(result.run_id)
         ]
-        assert seconds == [{"cache.load"}, {"cache.load"}, {"journal.replay"}]
+        assert seconds == [{"cache.load"}, {"cache.load"}]
 
     def test_run_tallies_come_from_spans_and_metrics(self, store):
         result = store.ingest_records(records_from_snapshot(_snapshot()))
@@ -241,8 +238,9 @@ class TestOtherIngest:
         assert store.runs() == []
 
     def test_journal_ingest(self, store, tmp_path):
-        """A resume journal is not a run either; ingesting one fails
-        schema validation and records nothing."""
+        """A foreign JSONL is not a run either — here the checkpoint
+        journal older builds left in their cache directory; ingesting
+        one fails schema validation and records nothing."""
         journal = tmp_path / "journal.jsonl"
         journal.write_text("".join(json.dumps(
             {"format": "repro.journal.v1", "key": f"k{i}", "index": i,
@@ -292,8 +290,8 @@ class TestPersistence:
 
         path = tmp_path / "obs.db"
         with sqlite3.connect(path) as db:
-            db.execute("PRAGMA user_version = 1")
-        with pytest.raises(StoreError, match="schema version 1"):
+            db.execute("PRAGMA user_version = 2")
+        with pytest.raises(StoreError, match="schema version 2"):
             RunStore(path)
 
     def test_reopen_preserves_runs(self, tmp_path):

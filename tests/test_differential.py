@@ -313,8 +313,8 @@ class TestExactDifferential:
     def test_exact_results_stable_across_cache_hits(
         self, machine, corpus, tmp_path
     ):
-        """Cache hits and resume replay must reproduce the exact backend's
-        results bit-for-bit: same II, same proof status, same certificates."""
+        """Cache hits must reproduce the exact backend's results
+        bit-for-bit: same II, same proof status, same certificates."""
         kernels = [
             loop for loop in corpus
             if loop.lowered is not None and loop.name != "distance"
