@@ -29,7 +29,7 @@ from time import perf_counter
 
 from conftest import QUALITY_BUDGET_RATIO
 
-from repro.backends import IIPolicy, get_backend
+from repro.backends import get_backend
 from repro.check import check_schedule
 from repro.core.mii import compute_mii
 from repro.core.scheduler import modulo_schedule
@@ -74,7 +74,7 @@ def test_optimality_gap(machine, corpus, emit):
         )
         loop_start = perf_counter()
         exact = backend.schedule(
-            loop.graph, machine, IIPolicy(), mii_result=mii_result
+            loop.graph, machine, mii_result=mii_result
         )
         seconds = perf_counter() - loop_start
 

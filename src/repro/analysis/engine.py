@@ -28,11 +28,12 @@ the substrate that makes corpus-scale evaluation cheap, repeatable and
   (:class:`~repro.analysis.resilience.RetryPolicy`); deterministic
   failures are never retried — they land in ``quarantine.json`` with the
   scheduler's full search trajectory attached;
-* a **degradation ladder**: when iterative modulo scheduling exhausts
-  its budget or deadline, the worker falls back — recorded, never
-  silent — first to floor-budget IMS and then to the acyclic list
-  scheduler (kernel-only code), so every feasible loop still yields a
-  schedule plus a ``degradation`` record;
+* a **degradation ladder** of registered-backend calls: when iterative
+  modulo scheduling exhausts its budget, the worker falls back —
+  recorded, never silent — to the acyclic list scheduler (kernel-only
+  code); when it blows its deadline, first to floor-budget IMS and then
+  to the list scheduler; so every feasible loop still yields a schedule
+  plus a ``degradation`` record;
 * **the cache is the checkpoint**: each finished loop's entry is
   written (fsynced, then renamed into place) the moment it completes,
   so a re-run over the same cache after a crash or Ctrl-C evaluates
@@ -89,8 +90,8 @@ from repro.analysis.resilience import (
     write_quarantine,
 )
 from repro.analysis.runner import LoopEvaluation
-from repro.backends import IIPolicy, get_backend
-from repro.baselines.list_scheduler import list_schedule, list_schedule_length
+from repro.backends import get_backend
+from repro.baselines.list_scheduler import list_schedule_length
 from repro.core.mii import MIIResult, compute_mii, res_mii
 from repro.core.mindist import schedule_length_lower_bound
 from repro.core.scc import strongly_connected_components
@@ -98,7 +99,6 @@ from repro.core.scheduler import (
     AttemptRecord,
     ModuloScheduleResult,
     SchedulingFailure,
-    modulo_schedule,
 )
 from repro.core.stats import Counters
 from repro.ir.graph import GraphError
@@ -110,8 +110,9 @@ from repro.workloads.corpus import CorpusLoop
 #: whenever the meaning of a cached payload changes (new measurements, a
 #: scheduler fix that alters results, a payload schema change) so stale
 #: entries are never resurrected.
-CODE_FORMAT_VERSION = 9  # v9: the MII mode left the key (it is always
-# the exact RecMII search)
+CODE_FORMAT_VERSION = 10  # v10: a degraded payload keeps each failed
+# IMS attempt's own record and reason, and its list rung is the list
+# backend's result
 
 _PAYLOAD_FORMAT = "repro.loop-evaluation.v2"
 
@@ -531,10 +532,11 @@ class _WatchdogAlarm:
 def _bound_mii(graph, machine, counters) -> MIIResult:
     """Cheap MII lower bound for the ladder when the real search blew up.
 
-    The full MII's Floyd-Warshall feasibility probes are exactly what a
+    The RecMII's MinDist feasibility probes are exactly what a
     wall-clock deadline interrupts, so the fallback never re-runs them:
     ResMII (linear in operations) seeds the II search instead, marked
-    ``rec_mii_exact=False``.
+    ``rec_mii_exact=False``.  Below the RecMII HeightR has no solution,
+    so the relaxed rung then hands the loop to the list rung.
     """
     res = res_mii(graph, machine, counters)
     components = strongly_connected_components(graph, counters)
@@ -550,6 +552,22 @@ def _bound_mii(graph, machine, counters) -> MIIResult:
 def _resilient_schedule(task: "_LoopTask", counters, obs, timer, phase_box):
     """The degradation ladder around one loop's MII + scheduling work.
 
+    Every rung is a registered backend's ``schedule`` call:
+
+    * rung 0 is the configured backend under the loop's deadline;
+    * a budget failure (``SchedulingFailure``: only IMS raises it) goes
+      straight to the list rung.  An attempt at a fixed II is
+      deterministic and its budget only decides when it stops, so IMS
+      at a smaller budget cannot succeed where this one failed;
+    * a blown deadline goes to IMS at the floor budget ratio, unclocked
+      (rung 1), then to the list rung.  When the deadline cut the MII
+      search short, rung 1 starts from the ResMII (:func:`_bound_mii`);
+      if that seed is below the RecMII, HeightR rejects it with a
+      ``GraphError`` and the list rung takes over;
+    * rung 2 is the list backend's own result: no software pipelining,
+      always a legal schedule.
+
+    The failed rungs' attempt records go in front of the winning rung's.
     Returns ``(mii_result, result, degradation, deterministic)`` where
     ``degradation`` is None on the normal path and ``deterministic`` says
     whether the outcome may be cached (budget exhaustion is a property of
@@ -576,119 +594,67 @@ def _resilient_schedule(task: "_LoopTask", counters, obs, timer, phase_box):
                 )
             phase_box[0] = "scheduling"
             with timer.phase("scheduling"):
-                if task.backend == "ims":
-                    # The module-global name is the seam the fault
-                    # injectors and resilience tests patch; the default
-                    # backend must keep flowing through it.
-                    result = modulo_schedule(
-                        loop.graph,
-                        machine,
-                        budget_ratio=task.budget_ratio,
-                        counters=counters,
-                        mii_result=mii_result,
-                        obs=obs,
-                        deadline=deadline,
-                    )
-                else:
-                    result = get_backend(task.backend).schedule(
-                        loop.graph,
-                        machine,
-                        IIPolicy(budget_ratio=task.budget_ratio),
-                        counters=counters,
-                        mii_result=mii_result,
-                        obs=obs,
-                        deadline=deadline,
-                    )
+                result = get_backend(task.backend).schedule(
+                    loop.graph,
+                    machine,
+                    task.budget_ratio,
+                    counters=counters,
+                    mii_result=mii_result,
+                    obs=obs,
+                    deadline=deadline,
+                )
             return mii_result, result, None, True
     except (DeadlineExceeded, SchedulingFailure) as trigger:
         if not task.degrade:
             raise
-        deterministic = isinstance(trigger, SchedulingFailure)
-        degradation = {
-            "reason": type(trigger).__name__,
-            "message": str(trigger),
-            "detail": trigger.detail() if deterministic else {},
-            "backend": task.backend,
-        }
-        # Normalized attempt metadata for the rung that failed: the
-        # ladder concatenates these in front of whatever the fallback
-        # rung records, so the payload names the backend behind every
-        # candidate II even across rungs.
-        failed_records = tuple(
-            AttemptRecord(
-                backend=task.backend,
-                ii=ii,
-                success=False,
-                steps=trigger.steps_by_ii.get(ii, 0),
-                reason="budget",
-            )
-            for ii in trigger.attempted_iis
-        ) if deterministic else ()
-
-    # Rung 1: IMS at the floor budget, unclocked (the watchdog is
-    # disarmed — each attempt is linear in operations and II escalates
-    # fast, so the rung is bounded without a clock).
+        failure = trigger
+    deterministic = isinstance(failure, SchedulingFailure)
+    degradation = {
+        "reason": type(failure).__name__,
+        "message": str(failure),
+        "detail": failure.detail() if deterministic else {},
+    }
+    records = list(failure.records) if deterministic else []
     phase_box[0] = "scheduling"
     if mii_result is None:
         with timer.phase("mindist"):
             mii_result = _bound_mii(loop.graph, machine, counters)
+    level = LEVEL_LIST_FALLBACK
+    result = None
     with timer.phase("scheduling"):
-        try:
-            result = modulo_schedule(
+        if not deterministic:
+            try:
+                result = get_backend("ims").schedule(
+                    loop.graph,
+                    machine,
+                    RELAXED_BUDGET_RATIO,
+                    counters=counters,
+                    mii_result=mii_result,
+                    obs=obs,
+                )
+                level = LEVEL_RELAXED
+            except SchedulingFailure as exc:
+                degradation["relaxed_error"] = f"{type(exc).__name__}: {exc}"
+                records.extend(exc.records)
+            except GraphError as exc:
+                # Only a ResMII seed below the RecMII makes HeightR
+                # diverge; from the exact MII it is a real error.
+                if mii_result.rec_mii_exact:
+                    raise
+                degradation["relaxed_error"] = f"{type(exc).__name__}: {exc}"
+        if result is None:
+            result = get_backend("list").schedule(
                 loop.graph,
                 machine,
-                budget_ratio=RELAXED_BUDGET_RATIO,
+                task.budget_ratio,
                 counters=counters,
                 mii_result=mii_result,
                 obs=obs,
             )
-            degradation["level"] = LEVEL_RELAXED
-            degradation["name"] = DEGRADATION_LEVELS[LEVEL_RELAXED]
-            degradation["backend"] = result.backend
-            result.attempt_records = (
-                list(failed_records) + result.attempt_records
-            )
-            return mii_result, result, degradation, deterministic
-        except SchedulingFailure as exc:
-            degradation["relaxed_error"] = f"{type(exc).__name__}: {exc}"
-            failed_records = failed_records + tuple(
-                AttemptRecord(
-                    backend="ims",
-                    ii=ii,
-                    success=False,
-                    steps=exc.steps_by_ii.get(ii, 0),
-                    reason="budget",
-                )
-                for ii in exc.attempted_iis
-            )
-
-    # Rung 2: no software pipelining at all — the acyclic list schedule
-    # (iterations never overlap, so its code is the kernel alone).
-    with timer.phase("scheduling"):
-        schedule = list_schedule(loop.graph, machine, counters)
-        result = ModuloScheduleResult(
-            schedule=schedule,
-            mii_result=mii_result,
-            budget_ratio=0.0,
-            attempts=0,
-            steps_total=0,
-            steps_last=loop.graph.n_ops,
-            counters=counters,
-            backend="list",
-            attempt_records=list(failed_records)
-            + [
-                AttemptRecord(
-                    backend="list",
-                    ii=schedule.ii,
-                    success=True,
-                    steps=loop.graph.n_ops,
-                    reason="scheduled",
-                )
-            ],
-        )
-    degradation["level"] = LEVEL_LIST_FALLBACK
-    degradation["name"] = DEGRADATION_LEVELS[LEVEL_LIST_FALLBACK]
-    degradation["backend"] = "list"
+    result.attempt_records = records + result.attempt_records
+    degradation["level"] = level
+    degradation["name"] = DEGRADATION_LEVELS[level]
+    degradation["backend"] = result.backend
     return mii_result, result, degradation, deterministic
 
 

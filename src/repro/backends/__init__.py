@@ -6,12 +6,11 @@ acyclic baseline) and ``exact`` (SAT-based, proves II minimality).
 See ``docs/BACKENDS.md``.
 """
 
-from repro.backends.base import AttemptRecord, IIPolicy, SchedulerBackend
+from repro.backends.base import AttemptRecord, SchedulerBackend
 from repro.backends.registry import backend_names, get_backend, register
 
 __all__ = [
     "AttemptRecord",
-    "IIPolicy",
     "SchedulerBackend",
     "backend_names",
     "get_backend",

@@ -33,7 +33,6 @@ conformance suite that enforces it (``tests/backends/``).
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.deadline import Deadline
@@ -45,24 +44,6 @@ from repro.ir.graph import DependenceGraph
 # Re-exported so backend implementations and tests import the attempt
 # metadata from one place.
 from repro.core.scheduler import AttemptRecord  # noqa: F401
-
-
-@dataclass(frozen=True)
-class IIPolicy:
-    """How a backend may search the II axis (the protocol's third input).
-
-    Attributes
-    ----------
-    budget_ratio:
-        The paper's BudgetRatio for heuristic backends; the exact
-        backend forwards it to its internal IMS upper-bound run.
-    max_ii:
-        Cap on the II search; ``None`` means the backend's default
-        (:func:`repro.core.scheduler.default_max_ii`).
-    """
-
-    budget_ratio: float = 6.0
-    max_ii: Optional[int] = None
 
 
 class SchedulerBackend(abc.ABC):
@@ -88,7 +69,7 @@ class SchedulerBackend(abc.ABC):
         self,
         graph: DependenceGraph,
         machine,
-        policy: Optional[IIPolicy] = None,
+        budget_ratio: float = 6.0,
         *,
         mii_result: Optional[MIIResult] = None,
         counters: Optional[Counters] = None,
@@ -96,17 +77,20 @@ class SchedulerBackend(abc.ABC):
         deadline: Optional[Deadline] = None,
         trace=None,
     ) -> ModuloScheduleResult:
-        """Schedule ``graph`` on ``machine`` under ``policy``.
+        """Schedule ``graph`` on ``machine``.
 
-        Implementations must return a fully populated
-        :class:`ModuloScheduleResult` whose ``backend`` field equals
-        :attr:`name` and whose ``attempt_records`` tag every candidate
-        II tried; they raise
-        :class:`~repro.core.scheduler.SchedulingFailure` when no
-        schedule exists within the policy's bounds and let
-        :class:`~repro.core.deadline.DeadlineExceeded` propagate — the
-        engine's degradation ladder handles both uniformly for every
-        backend.
+        ``budget_ratio`` is the paper's BudgetRatio for heuristic
+        backends (the exact backend forwards it to its IMS upper-bound
+        run); the II search runs up to
+        :func:`repro.core.scheduler.default_max_ii`.  Implementations
+        must return a fully populated :class:`ModuloScheduleResult`
+        whose ``backend`` field equals :attr:`name` and whose
+        ``attempt_records`` tag every candidate II tried; they raise
+        :class:`~repro.core.scheduler.SchedulingFailure` (its
+        ``records`` tag the IIs that failed) when no schedule exists
+        and let :class:`~repro.core.deadline.DeadlineExceeded`
+        propagate — the engine's degradation ladder handles both
+        uniformly for every backend.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional
 
-from repro.backends.base import AttemptRecord, IIPolicy, SchedulerBackend
+from repro.backends.base import AttemptRecord, SchedulerBackend
 from repro.backends.encode import (
     ENCODED,
     INFEASIBLE,
@@ -37,9 +37,8 @@ from repro.backends.encode import (
     decode_model,
     encode_exact_ii,
 )
-from repro.backends.registry import register
+from repro.backends.registry import get_backend, register
 from repro.backends.sat import SAT, UNSAT, SolverResult, solve as cdcl_solve
-from repro.baselines.list_scheduler import list_schedule
 from repro.check.validate import check_schedule
 from repro.core.deadline import Deadline, check_deadline
 from repro.core.mii import MIIResult, compute_mii
@@ -183,7 +182,7 @@ class ExactBackend(SchedulerBackend):
         self,
         graph: DependenceGraph,
         machine,
-        policy: Optional[IIPolicy] = None,
+        budget_ratio: float = 6.0,
         *,
         mii_result: Optional[MIIResult] = None,
         counters: Optional[Counters] = None,
@@ -193,7 +192,6 @@ class ExactBackend(SchedulerBackend):
     ) -> ModuloScheduleResult:
         from repro.obs.context import NULL_OBS
 
-        policy = policy if policy is not None else IIPolicy()
         obs = obs if obs is not None else NULL_OBS
         counters = counters if counters is not None else Counters()
         if mii_result is None:
@@ -203,53 +201,31 @@ class ExactBackend(SchedulerBackend):
         mii = mii_result.mii
 
         # ---- heuristic upper bound (also the fallback schedule when a
-        # probe comes back unknown).
-        records: List[AttemptRecord] = []
+        # probe comes back unknown); when even IMS fails, the list
+        # schedule's SL is the bound, after the IIs IMS tried.
         try:
             upper = modulo_schedule(
                 graph,
                 machine,
-                budget_ratio=policy.budget_ratio,
+                budget_ratio=budget_ratio,
                 counters=counters,
                 mii_result=mii_result,
-                max_ii=policy.max_ii,
                 trace=trace,
                 obs=obs,
                 deadline=deadline,
             )
-            records.extend(upper.attempt_records)
+            records: List[AttemptRecord] = list(upper.attempt_records)
         except SchedulingFailure as exc:
-            for ii in exc.attempted_iis:
-                records.append(
-                    AttemptRecord(
-                        backend="ims",
-                        ii=ii,
-                        success=False,
-                        steps=exc.steps_by_ii.get(ii, 0),
-                        reason="budget",
-                    )
-                )
-            fallback = list_schedule(graph, machine, counters)
-            records.append(
-                AttemptRecord(
-                    backend="list",
-                    ii=fallback.ii,
-                    success=True,
-                    steps=graph.n_ops,
-                    reason="scheduled",
-                )
-            )
-            upper = ModuloScheduleResult(
-                schedule=fallback,
+            upper = get_backend("list").schedule(
+                graph,
+                machine,
+                budget_ratio,
                 mii_result=mii_result,
-                budget_ratio=policy.budget_ratio,
-                attempts=len(exc.attempted_iis) + 1,
-                steps_total=sum(exc.steps_by_ii.values()) + graph.n_ops,
-                steps_last=graph.n_ops,
                 counters=counters,
-                backend="list",
-                attempt_records=list(records),
+                obs=obs,
+                deadline=deadline,
             )
+            records = exc.records + upper.attempt_records
         ii_h = upper.schedule.ii
 
         def finish(
@@ -264,7 +240,7 @@ class ExactBackend(SchedulerBackend):
             return ModuloScheduleResult(
                 schedule=schedule,
                 mii_result=mii_result,
-                budget_ratio=policy.budget_ratio,
+                budget_ratio=budget_ratio,
                 attempts=len(exact_records),
                 steps_total=sum(r.steps for r in exact_records),
                 steps_last=steps_last,
@@ -316,21 +292,25 @@ class ExactBackend(SchedulerBackend):
                     )
                     attempt.set("status", verdict)
                     attempt.set("conflicts", conflicts)
+                    certificates[ii] = self._certificate(
+                        encoding, result, verdict
+                    )
+                    records.append(
+                        AttemptRecord(
+                            backend=self.name,
+                            ii=ii,
+                            success=verdict == "sat",
+                            steps=conflicts,
+                            reason=(
+                                encoding.reason
+                                if verdict == "infeasible"
+                                else verdict
+                            ),
+                        )
+                    )
                     if verdict == "sat":
                         schedule = decode_model(graph, encoding, result.model)
                         self._validated(graph, machine, schedule)
-                        certificates[ii] = self._certificate(
-                            encoding, result, "sat"
-                        )
-                        records.append(
-                            AttemptRecord(
-                                backend=self.name,
-                                ii=ii,
-                                success=True,
-                                steps=conflicts,
-                                reason="sat",
-                            )
-                        )
                         span.set("ii", ii)
                         span.set("proof", "sat-search" if not proof_lost else "none")
                         # Optimal only if every lower II was *soundly*
@@ -341,49 +321,10 @@ class ExactBackend(SchedulerBackend):
                             certificates,
                             conflicts,
                         )
-                    if verdict == "infeasible":
-                        certificates[ii] = self._certificate(
-                            encoding, None, "infeasible"
-                        )
-                        records.append(
-                            AttemptRecord(
-                                backend=self.name,
-                                ii=ii,
-                                success=False,
-                                steps=0,
-                                reason=encoding.reason,
-                            )
-                        )
-                        continue
-                    if verdict == "unsat":
-                        certificates[ii] = self._certificate(
-                            encoding, result, "unsat"
-                        )
-                        records.append(
-                            AttemptRecord(
-                                backend=self.name,
-                                ii=ii,
-                                success=False,
-                                steps=conflicts,
-                                reason="unsat",
-                            )
-                        )
-                        continue
                     # unknown / too-large: the proof is lost, but keep
                     # probing — a higher II may still beat the heuristic.
-                    proof_lost = True
-                    certificates[ii] = self._certificate(
-                        encoding, result, verdict
-                    )
-                    records.append(
-                        AttemptRecord(
-                            backend=self.name,
-                            ii=ii,
-                            success=False,
-                            steps=conflicts,
-                            reason=verdict,
-                        )
-                    )
+                    if verdict in ("unknown", "too-large"):
+                        proof_lost = True
 
             # No II below the heuristic's is achievable (or provable):
             # the heuristic schedule stands, proven minimal only when

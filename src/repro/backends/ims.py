@@ -1,16 +1,17 @@
 """The paper's iterative modulo scheduler as a registered backend.
 
 A thin adapter: :func:`repro.core.scheduler.modulo_schedule` already
-returns the protocol's result type and populates attempt records, so the
-backend only maps the :class:`~repro.backends.base.IIPolicy` fields onto
-the function's parameters.
+returns the protocol's result type, populates attempt records and
+raises :class:`~repro.core.scheduler.SchedulingFailure` with the
+records of the IIs it tried, so the backend only forwards its
+arguments.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.backends.base import IIPolicy, SchedulerBackend
+from repro.backends.base import SchedulerBackend
 from repro.backends.registry import register
 from repro.core.deadline import Deadline
 from repro.core.mii import MIIResult
@@ -31,7 +32,7 @@ class IMSBackend(SchedulerBackend):
         self,
         graph: DependenceGraph,
         machine,
-        policy: Optional[IIPolicy] = None,
+        budget_ratio: float = 6.0,
         *,
         mii_result: Optional[MIIResult] = None,
         counters: Optional[Counters] = None,
@@ -39,14 +40,12 @@ class IMSBackend(SchedulerBackend):
         deadline: Optional[Deadline] = None,
         trace=None,
     ) -> ModuloScheduleResult:
-        policy = policy if policy is not None else IIPolicy()
         return modulo_schedule(
             graph,
             machine,
-            budget_ratio=policy.budget_ratio,
+            budget_ratio=budget_ratio,
             counters=counters,
             mii_result=mii_result,
-            max_ii=policy.max_ii,
             trace=trace,
             obs=obs,
             deadline=deadline,

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.backends.base import AttemptRecord, IIPolicy, SchedulerBackend
+from repro.backends.base import AttemptRecord, SchedulerBackend
 from repro.backends.registry import register
 from repro.baselines.list_scheduler import list_schedule
 from repro.core.deadline import Deadline, check_deadline
@@ -33,7 +33,7 @@ class ListBackend(SchedulerBackend):
         self,
         graph: DependenceGraph,
         machine,
-        policy: Optional[IIPolicy] = None,
+        budget_ratio: float = 6.0,
         *,
         mii_result: Optional[MIIResult] = None,
         counters: Optional[Counters] = None,
@@ -43,7 +43,6 @@ class ListBackend(SchedulerBackend):
     ) -> ModuloScheduleResult:
         from repro.obs.context import NULL_OBS
 
-        policy = policy if policy is not None else IIPolicy()
         obs = obs if obs is not None else NULL_OBS
         counters = counters if counters is not None else Counters()
         check_deadline(deadline, "list schedule")
@@ -60,7 +59,7 @@ class ListBackend(SchedulerBackend):
         return ModuloScheduleResult(
             schedule=schedule,
             mii_result=mii_result,
-            budget_ratio=policy.budget_ratio,
+            budget_ratio=budget_ratio,
             attempts=1,
             steps_total=graph.n_ops,
             steps_last=graph.n_ops,

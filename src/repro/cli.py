@@ -214,18 +214,12 @@ def _cmd_schedule(args, out) -> int:
     obs = obs if obs is not None else NULL_OBS
     with obs.span("frontend", file=args.file):
         lowered, machine = _compile(args, out)
-    from repro.backends import IIPolicy
-
     backend = _resolve_backend(args)
     if backend is None:
         return 2
     trace = ScheduleTrace() if args.trace else None
     result = backend.schedule(
-        lowered.graph,
-        machine,
-        IIPolicy(budget_ratio=args.budget_ratio),
-        trace=trace,
-        obs=obs,
+        lowered.graph, machine, args.budget_ratio, trace=trace, obs=obs
     )
     if args.json:
         print(schedule_to_json(result.schedule, machine, indent=2), file=out)
@@ -342,16 +336,11 @@ def _cmd_check(args, out) -> int:
     from repro.check import Diagnostics, check_schedule
 
     if args.file is not None:
-        from repro.backends import IIPolicy
-
         backend = _resolve_backend(args)
         if backend is None:
             return 2
         lowered, machine = _compile(args, out)
-        result = backend.schedule(
-            lowered.graph, machine,
-            IIPolicy(budget_ratio=args.budget_ratio),
-        )
+        result = backend.schedule(lowered.graph, machine, args.budget_ratio)
         diags = check_schedule(
             lowered.graph, machine, result.schedule, codegen=True
         )

@@ -56,40 +56,46 @@ from repro.machine.resources import ReservationTable
 class SchedulingFailure(RuntimeError):
     """No modulo schedule was found up to the II cap.
 
-    The exception carries the whole search trajectory — every candidate
-    II attempted and the scheduling steps burned at each — so a failure
-    record (or a quarantine entry) is actionable without re-running the
-    scheduler.  It pickles cleanly through worker pools.
+    The exception carries the whole search trajectory as ``records``,
+    one :class:`AttemptRecord` per candidate II attempted (its steps
+    and why it failed), so a failure record, a quarantine entry or a
+    degraded result is actionable without re-running the scheduler.
+    It pickles cleanly through worker pools.
     """
 
     def __init__(
         self,
         message: str,
-        attempted_iis: Optional[List[int]] = None,
-        steps_by_ii: Optional[Dict[int, int]] = None,
+        records: Optional[List[AttemptRecord]] = None,
         budget: Optional[int] = None,
     ) -> None:
         super().__init__(message)
-        self.attempted_iis = list(attempted_iis or [])
-        self.steps_by_ii = dict(steps_by_ii or {})
+        self.records = list(records or [])
         self.budget = budget
+
+    @property
+    def attempted_iis(self) -> List[int]:
+        """Every candidate II attempted, in search order."""
+        return [record.ii for record in self.records]
+
+    @property
+    def steps_by_ii(self) -> Dict[int, int]:
+        """The scheduling steps burned at each attempted II."""
+        return {record.ii: record.steps for record in self.records}
 
     def detail(self) -> Dict[str, object]:
         """JSON-compatible search trajectory for structured failure records."""
         return {
-            "attempted_iis": list(self.attempted_iis),
+            "attempted_iis": self.attempted_iis,
             "steps_by_ii": {
                 str(ii): steps for ii, steps in self.steps_by_ii.items()
             },
             "budget_per_ii": self.budget,
-            "steps_total": sum(self.steps_by_ii.values()),
+            "steps_total": sum(record.steps for record in self.records),
         }
 
     def __reduce__(self):
-        return (
-            type(self),
-            (self.args[0], self.attempted_iis, self.steps_by_ii, self.budget),
-        )
+        return type(self), (self.args[0], self.records, self.budget)
 
 
 @dataclass(frozen=True)
@@ -680,8 +686,8 @@ def modulo_schedule(
     Raises
     ------
     SchedulingFailure
-        If no schedule is found for any II up to ``max_ii``.  The
-        exception records every attempted II and the steps spent on it.
+        If no schedule is found for any II up to ``max_ii``.  Its
+        ``records`` hold the attempt record of every attempted II.
     repro.core.deadline.DeadlineExceeded
         If ``deadline`` expires mid-search.
     """
@@ -713,7 +719,6 @@ def modulo_schedule(
     budget = int(budget_ratio * graph.n_ops)
     attempts = 0
     steps_total = 0
-    steps_by_ii: Dict[int, int] = {}
     records: List[AttemptRecord] = []
     ii = mii_result.mii
     with obs.span(
@@ -733,7 +738,6 @@ def modulo_schedule(
                     trace=trace, deadline=deadline,
                 )
                 attempt = scheduler.run(budget)
-            steps_by_ii[ii] = attempt.steps
             attempt_span.set("success", attempt.success)
             attempt_span.set("steps", attempt.steps)
             attempt_span.set("budget", budget)
@@ -788,7 +792,6 @@ def modulo_schedule(
         f"[{mii_result.mii}, {max_ii}] at budget_ratio={budget_ratio} "
         f"({attempts} attempts, budget {budget} steps/II, "
         f"{steps_total} steps total)",
-        attempted_iis=sorted(steps_by_ii),
-        steps_by_ii=steps_by_ii,
+        records=records,
         budget=budget,
     )

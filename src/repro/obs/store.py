@@ -3,9 +3,8 @@
 A ``repro.obs.v2`` export (:mod:`repro.obs.schema`) describes one run
 completely — every span, every metric — but on its own it is
 write-only: you can validate it, not aggregate two runs, diff them, or
-ask "which loops got slower".  :class:`RunStore` ingests exports (and
-``BENCH_*.json`` trajectories) into one normalized SQLite database so
-those questions become queries:
+ask "which loops got slower".  :class:`RunStore` ingests exports into
+one normalized SQLite database so those questions become queries:
 
 ``runs``
     One row per ingested run.  The ``run_id`` is content-addressed — the
@@ -42,11 +41,6 @@ those questions become queries:
     Collapsed call stacks from the sampling profiler
     (:mod:`repro.obs.profile`), when the run was profiled.
 
-``bench_runs``
-    ``BENCH_*.json`` trajectory entries (one row per benchmark run),
-    keyed by (bench, unix_time) so re-ingesting a trajectory file only
-    adds the new tail.
-
 The derived views — phase profiles with p50/p95/p99, top-N loop
 attribution, statistical run-to-run diffs — live in
 :mod:`repro.obs.analyze`; the flamegraph exporter in
@@ -69,7 +63,7 @@ from repro.obs.schema import (
     validate_records,
 )
 
-_SCHEMA_VERSION = 3  # v3: loop rows lost the resumed column
+_SCHEMA_VERSION = 4  # v4: the BENCH trajectory table is gone
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS runs (
@@ -128,13 +122,6 @@ CREATE TABLE IF NOT EXISTS profile_samples (
     stack  TEXT NOT NULL,
     count  INTEGER NOT NULL,
     PRIMARY KEY (run_id, stack)
-);
-CREATE TABLE IF NOT EXISTS bench_runs (
-    bench     TEXT NOT NULL,
-    unix_time REAL NOT NULL,
-    source    TEXT,
-    payload_json TEXT NOT NULL,
-    PRIMARY KEY (bench, unix_time)
 );
 """
 
@@ -439,47 +426,6 @@ class RunStore:
             )
         return len(rows)
 
-    # -- ingest: bench trajectories -------------------------------------
-
-    def ingest_bench_trajectory(self, path) -> int:
-        """Ingest a ``BENCH_*.json`` trajectory; returns new rows added.
-
-        Keyed by (bench, unix_time): re-ingesting an extended trajectory
-        adds only the new tail, turning the one-shot JSON blob into a
-        tracked time series.
-        """
-        path = Path(path)
-        data = json.loads(path.read_text())
-        runs = data.get("runs")
-        if not isinstance(runs, list):
-            raise StoreError(f"{path}: not a BENCH_*.json trajectory")
-        added = 0
-        for entry in runs:
-            if not isinstance(entry, dict) or "bench" not in entry:
-                continue
-            cursor = self._db.execute(
-                "INSERT OR IGNORE INTO bench_runs "
-                "(bench, unix_time, source, payload_json) VALUES (?,?,?,?)",
-                (
-                    entry["bench"],
-                    float(entry.get("unix_time", 0.0)),
-                    str(path),
-                    json.dumps(entry, sort_keys=True),
-                ),
-            )
-            added += cursor.rowcount
-        self._db.commit()
-        return added
-
-    def bench_series(self, bench: str) -> List[Dict[str, Any]]:
-        """The time series of one benchmark, oldest first."""
-        rows = self._db.execute(
-            "SELECT payload_json FROM bench_runs WHERE bench = ? "
-            "ORDER BY unix_time",
-            (bench,),
-        ).fetchall()
-        return [json.loads(row["payload_json"]) for row in rows]
-
     # -- ingest: profiler samples ---------------------------------------
 
     def ingest_profile(
@@ -506,7 +452,7 @@ class RunStore:
     # -- ingest: files ---------------------------------------------------
 
     def ingest_path(self, path) -> IngestResult:
-        """Ingest one file: a ``repro.obs.v2`` export or a bench trajectory.
+        """Ingest one file: a ``repro.obs.v2`` export.
 
         Raises :class:`StoreError` for anything else.
         """
@@ -514,16 +460,12 @@ class RunStore:
         text = path.read_text()
         stripped = text.lstrip()
         if stripped.startswith("{") and "\n{" not in stripped.rstrip():
-            # A single JSON document: a bench trajectory or nothing.
+            # A single JSON document (a timing report, a BENCH_*.json
+            # trajectory) is not a run.
             try:
-                data = json.loads(text)
+                json.loads(text)
             except ValueError as exc:
                 raise StoreError(f"{path}: not JSON ({exc})") from None
-            if isinstance(data, dict) and isinstance(data.get("runs"), list):
-                added = self.ingest_bench_trajectory(path)
-                return IngestResult(
-                    f"bench:{path.stem}", added > 0, "bench", str(path)
-                )
             raise StoreError(f"{path}: unrecognized JSON document")
         records, errors = parse_jsonl(text)
         if errors:

@@ -18,8 +18,9 @@ import time
 
 import pytest
 
-import repro.analysis.engine as engine_module
+import repro.backends.ims as ims_module
 from repro.analysis.engine import (
+    RELAXED_BUDGET_RATIO,
     EvaluationEngine,
     LoopFailure,
     _WatchdogAlarm,
@@ -45,11 +46,19 @@ from repro.analysis.resilience import (
     load_quarantine,
     write_quarantine,
 )
+from repro.core.mii import compute_mii
 from repro.core.mindist import compute_mindist
-from repro.core.scheduler import SchedulingFailure, modulo_schedule
+from repro.core.scheduler import (
+    AttemptRecord,
+    SchedulingFailure,
+    modulo_schedule,
+)
+from repro.loopir import compile_loop_full
 from repro.machine import cydra5
 from repro.obs.context import ObsContext
 from repro.workloads import build_corpus
+from repro.workloads.corpus import CorpusLoop
+from repro.workloads.kernels import KERNELS
 
 
 @pytest.fixture(scope="module")
@@ -60,6 +69,15 @@ def machine():
 @pytest.fixture(scope="module")
 def corpus(machine):
     return build_corpus(machine, n_synthetic=4, seed=3, include_kernels=False)
+
+
+def _out_of_budget(*iis):
+    """The failure IMS raises after trying ``iis`` at a 9-step budget."""
+    return SchedulingFailure(
+        "out of budget",
+        records=[AttemptRecord("ims", ii, False, 9, "budget") for ii in iis],
+        budget=9,
+    )
 
 
 def _bytes_of(result, machine):
@@ -253,11 +271,18 @@ class TestQuarantine:
 class TestFailurePickling:
     def test_scheduling_failure_survives_pickle(self):
         failure = SchedulingFailure(
-            "no schedule", attempted_iis=[4, 5, 6],
-            steps_by_ii={4: 60, 5: 60, 6: 12}, budget=60,
+            "no schedule",
+            records=[
+                AttemptRecord("ims", 4, False, 60, "budget"),
+                AttemptRecord("ims", 5, False, 60, "budget"),
+                AttemptRecord("ims", 6, False, 12, "budget"),
+            ],
+            budget=60,
         )
         clone = pickle.loads(pickle.dumps(failure))
+        assert clone.records == failure.records
         assert clone.attempted_iis == [4, 5, 6]
+        assert clone.steps_by_ii == {4: 60, 5: 60, 6: 12}
         assert clone.detail()["budget_per_ii"] == 60
         assert clone.detail()["steps_total"] == 132
         assert clone.detail()["attempted_iis"] == [4, 5, 6]
@@ -503,17 +528,14 @@ class TestDegradationLadder:
         self, machine, corpus, tmp_path, monkeypatch
     ):
         calls = {"n": 0}
-        real = engine_module.modulo_schedule
+        real = ims_module.modulo_schedule
 
         def always_out_of_budget(graph, machine_, **kwargs):
             calls["n"] += 1
-            raise SchedulingFailure(
-                "out of budget", attempted_iis=[2, 3],
-                steps_by_ii={2: 9, 3: 9}, budget=9,
-            )
+            raise _out_of_budget(2, 3)
 
         monkeypatch.setattr(
-            engine_module, "modulo_schedule", always_out_of_budget
+            ims_module, "modulo_schedule", always_out_of_budget
         )
         engine = EvaluationEngine(
             machine, cache_dir=tmp_path / "cache", fault_plan=NULL_PLAN
@@ -526,26 +548,100 @@ class TestDegradationLadder:
         assert evaluation.degradation["reason"] == "SchedulingFailure"
         assert evaluation.degradation["detail"]["attempted_iis"] == [2, 3]
         assert evaluation.degradation["detail"]["budget_per_ii"] == 9
-        assert "relaxed_error" in evaluation.degradation
-        assert evaluation.result.budget_ratio == 0.0
-        assert calls["n"] == 2  # rung 0 and rung 1 both tried
+        # A smaller budget cannot succeed where this one failed, so the
+        # relaxed rung is skipped.
+        assert "relaxed_error" not in evaluation.degradation
+        assert calls["n"] == 1
+        # The list rung is the list backend's own result.
+        assert evaluation.result.backend == "list"
+        assert evaluation.result.attempts == 1
+        assert evaluation.result.budget_ratio == engine.budget_ratio
         # Budget exhaustion is deterministic, so the fallback is cached.
-        monkeypatch.setattr(engine_module, "modulo_schedule", real)
+        monkeypatch.setattr(ims_module, "modulo_schedule", real)
         warm = engine.evaluate(corpus[:1])
         assert warm.hits == 1
         assert warm.evaluations[0].degradation_level == 2
+
+    def test_failed_rung_keeps_its_reasons(
+        self, machine, corpus, monkeypatch
+    ):
+        """The ladder puts IMS's own records in the payload: a dead II
+        (0 steps) stays ``infeasible``, not ``budget``."""
+        failure = SchedulingFailure(
+            "no schedule",
+            records=[
+                AttemptRecord("ims", 2, False, 9, "budget"),
+                AttemptRecord("ims", 3, False, 0, "infeasible"),
+            ],
+            budget=9,
+        )
+
+        def dead_ii(graph, machine_, **kwargs):
+            raise failure
+
+        monkeypatch.setattr(ims_module, "modulo_schedule", dead_ii)
+        result = EvaluationEngine(machine, fault_plan=NULL_PLAN).evaluate(
+            corpus[:1]
+        )
+        assert result.ok and result.degraded == 1
+        evaluation = result.evaluations[0]
+        records = evaluation_to_dict(evaluation, machine)["search"][
+            "attempt_records"
+        ]
+        assert records[:2] == [r.to_dict() for r in failure.records]
+        assert [r["backend"] for r in records] == ["ims", "ims", "list"]
+        assert evaluation.degradation["detail"] == failure.detail()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_deadline_before_the_mii_degrades_a_recurrence_bound_loop(
+        self, machine, jobs
+    ):
+        """A deadline that fires before the MII search ends leaves the
+        relaxed rung only the ResMII as its seed.  Below the RecMII,
+        HeightR rejects it, and the loop falls to the list rung instead
+        of failing."""
+        name = "abs_sum_signs"
+        lowered = compile_loop_full(KERNELS[name].source, machine, name=name)
+        mii = compute_mii(lowered.graph, machine)
+        assert mii.rec_mii > mii.res_mii
+        loop = CorpusLoop(
+            name=name,
+            graph=lowered.graph,
+            category=KERNELS[name].category,
+            entry_freq=1,
+            loop_freq=100,
+            executed=True,
+            lowered=lowered,
+        )
+        engine = EvaluationEngine(
+            machine,
+            jobs=jobs,
+            loop_timeout=0.2,
+            retry_policy=RetryPolicy(max_retries=0),
+            fault_plan=parse_fault_spec("slow@0:5!"),
+        )
+        result = engine.evaluate([loop])
+        assert result.ok, [f.describe() for f in result.failures]
+        assert result.degraded == 1
+        evaluation = result.evaluations[0]
+        assert evaluation.degradation["reason"] == "DeadlineExceeded"
+        assert evaluation.degradation["name"] == "list-fallback"
+        assert evaluation.degradation["relaxed_error"].startswith(
+            "GraphError: "
+        )
+        assert not evaluation.mii_result.rec_mii_exact
+        assert [r.backend for r in evaluation.result.attempt_records] == [
+            "list"
+        ]
 
     def test_no_degrade_surfaces_budget_detail(
         self, machine, corpus, monkeypatch
     ):
         def always_out_of_budget(graph, machine_, **kwargs):
-            raise SchedulingFailure(
-                "out of budget", attempted_iis=[2], steps_by_ii={2: 9},
-                budget=9,
-            )
+            raise _out_of_budget(2)
 
         monkeypatch.setattr(
-            engine_module, "modulo_schedule", always_out_of_budget
+            ims_module, "modulo_schedule", always_out_of_budget
         )
         engine = EvaluationEngine(machine, degrade=False, fault_plan=NULL_PLAN)
         result = engine.evaluate(corpus[:1])
@@ -585,7 +681,7 @@ class TestCacheCheckpoint:
         """A Ctrl-C on the third loop keeps the two loops finished before
         it; re-running the same engine over the cache hits them and
         evaluates the rest, and the results match an uninterrupted run."""
-        real = engine_module.modulo_schedule
+        real = ims_module.modulo_schedule
         calls = []
 
         def interrupt_third(graph, machine_, **kwargs):
@@ -594,7 +690,7 @@ class TestCacheCheckpoint:
                 raise KeyboardInterrupt
             return real(graph, machine_, **kwargs)
 
-        monkeypatch.setattr(engine_module, "modulo_schedule", interrupt_third)
+        monkeypatch.setattr(ims_module, "modulo_schedule", interrupt_third)
         cache = tmp_path / "cache"
         engine = EvaluationEngine(
             machine, cache_dir=cache, fault_plan=NULL_PLAN
@@ -604,7 +700,7 @@ class TestCacheCheckpoint:
         assert len(list(cache.glob("??/*.json"))) == 2
         assert not list(cache.glob("??/*.tmp"))
 
-        monkeypatch.setattr(engine_module, "modulo_schedule", real)
+        monkeypatch.setattr(ims_module, "modulo_schedule", real)
         rerun = engine.evaluate(corpus)
         assert rerun.ok
         assert rerun.hits == 2 and rerun.misses == len(corpus) - 2
@@ -711,16 +807,13 @@ class TestAttemptMetadataNormalization:
     """
 
     def _out_of_budget(self, graph, machine_, **kwargs):
-        raise SchedulingFailure(
-            "out of budget", attempted_iis=[2, 3],
-            steps_by_ii={2: 9, 3: 9}, budget=9,
-        )
+        raise _out_of_budget(2, 3)
 
     def test_every_rung_names_its_backend(
         self, machine, corpus, tmp_path, monkeypatch
     ):
         monkeypatch.setattr(
-            engine_module, "modulo_schedule", self._out_of_budget
+            ims_module, "modulo_schedule", self._out_of_budget
         )
         engine = EvaluationEngine(
             machine, cache_dir=tmp_path / "cache", fault_plan=NULL_PLAN
@@ -731,21 +824,21 @@ class TestAttemptMetadataNormalization:
         assert evaluation.backend == "list"
         assert evaluation.degradation["backend"] == "list"
         records = evaluation.result.attempt_records
-        # Rung 0 (full IMS) and rung 1 (relaxed IMS) each tried IIs 2
-        # and 3 before the list rung won: five records, ladder order.
-        assert [r.backend for r in records] == ["ims"] * 4 + ["list"]
-        assert [r.success for r in records] == [False] * 4 + [True]
-        assert [r.ii for r in records[:4]] == [2, 3, 2, 3]
-        assert all(r.reason == "budget" for r in records[:4])
+        # Rung 0 (full IMS) tried IIs 2 and 3; a budget failure goes
+        # straight to the list rung: three records, ladder order.
+        assert [r.backend for r in records] == ["ims"] * 2 + ["list"]
+        assert [r.success for r in records] == [False] * 2 + [True]
+        assert [r.ii for r in records[:2]] == [2, 3]
+        assert all(r.reason == "budget" for r in records[:2])
         assert records[-1].reason == "scheduled"
         assert records[-1].ii == evaluation.ii
 
     def test_cache_entry_keeps_the_records(
         self, machine, corpus, tmp_path, monkeypatch
     ):
-        real = engine_module.modulo_schedule
+        real = ims_module.modulo_schedule
         monkeypatch.setattr(
-            engine_module, "modulo_schedule", self._out_of_budget
+            ims_module, "modulo_schedule", self._out_of_budget
         )
         engine = EvaluationEngine(
             machine, cache_dir=tmp_path / "cache", fault_plan=NULL_PLAN
@@ -758,11 +851,11 @@ class TestAttemptMetadataNormalization:
         search = json.loads(entry.read_text())["search"]
         assert search["backend"] == "list"
         assert [r["backend"] for r in search["attempt_records"]] == (
-            ["ims"] * 4 + ["list"]
+            ["ims"] * 2 + ["list"]
         )
 
         # A warm cache hit restores them bit-for-bit.
-        monkeypatch.setattr(engine_module, "modulo_schedule", real)
+        monkeypatch.setattr(ims_module, "modulo_schedule", real)
         warm = engine.evaluate(corpus[:1])
         assert warm.hits == 1
         assert warm.evaluations[0].result.attempt_records == records
@@ -771,27 +864,32 @@ class TestAttemptMetadataNormalization:
     def test_relaxed_rung_is_attributed_to_ims(
         self, machine, corpus, monkeypatch
     ):
-        real = engine_module.modulo_schedule
+        real = ims_module.modulo_schedule
         calls = {"n": 0}
 
-        def first_call_fails(graph, machine_, **kwargs):
+        def first_call_times_out(graph, machine_, **kwargs):
             calls["n"] += 1
             if calls["n"] == 1:
-                raise SchedulingFailure(
-                    "out of budget", attempted_iis=[2],
-                    steps_by_ii={2: 9}, budget=9,
-                )
+                raise DeadlineExceeded("injected deadline")
             return real(graph, machine_, **kwargs)
 
         monkeypatch.setattr(
-            engine_module, "modulo_schedule", first_call_fails
+            ims_module, "modulo_schedule", first_call_times_out
         )
         engine = EvaluationEngine(machine, fault_plan=NULL_PLAN)
         result = engine.evaluate(corpus[:1])
         assert result.ok and result.degraded == 1
+        assert calls["n"] == 2
         evaluation = result.evaluations[0]
+        assert evaluation.degradation["reason"] == "DeadlineExceeded"
         assert evaluation.degradation["name"] == "relaxed-ims"
         assert evaluation.degradation["backend"] == "ims"
+        # A deadline carries no records: the relaxed IMS run's own are
+        # the payload's, each attributed to IMS, the last one a success.
         records = evaluation.result.attempt_records
-        assert records[0].backend == "ims" and not records[0].success
-        assert records[-1].backend == "ims" and records[-1].success
+        relaxed = real(
+            corpus[0].graph, machine, budget_ratio=RELAXED_BUDGET_RATIO
+        )
+        assert records == relaxed.attempt_records
+        assert all(r.backend == "ims" for r in records)
+        assert records[-1].success

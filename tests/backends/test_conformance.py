@@ -18,7 +18,7 @@ from repro.analysis.engine import (
     evaluation_to_dict,
 )
 from repro.analysis.runner import evaluate_loop
-from repro.backends import IIPolicy, SchedulerBackend, backend_names, get_backend
+from repro.backends import SchedulerBackend, backend_names, get_backend
 from repro.check import check_schedule
 from repro.core import compute_mii
 from repro.core.scheduler import default_max_ii
@@ -98,8 +98,8 @@ class TestRegistry:
 class TestScheduleContract:
     def test_deterministic(self, name, machine, graphs):
         for graph in graphs.values():
-            first = _backend(name).schedule(graph, machine, IIPolicy())
-            second = _backend(name).schedule(graph, machine, IIPolicy())
+            first = _backend(name).schedule(graph, machine)
+            second = _backend(name).schedule(graph, machine)
             assert first.ii == second.ii
             assert schedule_to_json(
                 first.schedule, machine
@@ -107,7 +107,7 @@ class TestScheduleContract:
 
     def test_checker_finds_no_errors(self, name, machine, graphs):
         for graph in graphs.values():
-            result = _backend(name).schedule(graph, machine, IIPolicy())
+            result = _backend(name).schedule(graph, machine)
             diags = check_schedule(graph, machine, result.schedule)
             assert diags.ok, diags.render()
 
@@ -115,14 +115,14 @@ class TestScheduleContract:
         backend = _backend(name)
         for graph in graphs.values():
             mii = compute_mii(graph, machine, exact=True).mii
-            result = backend.schedule(graph, machine, IIPolicy())
+            result = backend.schedule(graph, machine)
             assert result.ii >= mii
             if backend.modulo:
                 assert result.ii <= default_max_ii(graph, mii)
 
     def test_result_is_attributed(self, name, machine, graphs):
         graph = graphs["dot"]
-        result = _backend(name).schedule(graph, machine, IIPolicy())
+        result = _backend(name).schedule(graph, machine)
         assert result.backend == name
         records = result.attempt_records
         assert records, "backends must report their attempt history"
@@ -132,7 +132,7 @@ class TestScheduleContract:
 
     def test_obs_spans_and_counters_emitted(self, name, machine, graphs):
         obs = ObsContext()
-        _backend(name).schedule(graphs["dot"], machine, IIPolicy(), obs=obs)
+        _backend(name).schedule(graphs["dot"], machine, obs=obs)
         snapshot = obs.to_dict()
         assert any(
             span["name"].startswith("schedule") for span in snapshot["spans"]
@@ -147,7 +147,7 @@ class TestScheduleContract:
         backend = _backend(name)
         for graph in graphs.values():
             mii = compute_mii(graph, machine, exact=True).mii
-            result = backend.schedule(graph, machine, IIPolicy())
+            result = backend.schedule(graph, machine)
             if result.optimal:
                 # A proven-minimal II at the MII needs no solver; above
                 # it, only a proving backend may claim optimality.

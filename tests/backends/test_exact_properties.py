@@ -10,6 +10,9 @@ small graphs (hypothesis shrinks counterexamples to minimal form):
   independent validator report violations (if it did not, a legal
   schedule below the "proven minimum" would exist, contradicting the
   proof).
+
+A last test pins the fallback when IMS fails: the list backend's result
+bounds the search, after IMS's own attempt records.
 """
 
 from __future__ import annotations
@@ -18,10 +21,11 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.backends import IIPolicy, get_backend
+from repro.backends import get_backend
 from repro.check import check_schedule
 from repro.core import compute_mii
 from repro.core.schedule import Schedule
+from repro.core.scheduler import AttemptRecord, SchedulingFailure
 from repro.ir import DependenceGraph, DependenceKind
 from repro.machine import (
     bus_conflict_machine,
@@ -104,9 +108,9 @@ class TestBackendOrdering:
     def test_exact_below_ims_below_list_and_valid(self, machine_graph):
         machine, graph = machine_graph
         mii = compute_mii(graph, machine, exact=True).mii
-        exact = _exact().schedule(graph, machine, IIPolicy())
-        ims = get_backend("ims").schedule(graph, machine, IIPolicy())
-        lst = get_backend("list").schedule(graph, machine, IIPolicy())
+        exact = _exact().schedule(graph, machine)
+        ims = get_backend("ims").schedule(graph, machine)
+        lst = get_backend("list").schedule(graph, machine)
         assert mii <= exact.ii <= ims.ii <= lst.ii
         assert exact.optimal in (True, None)
         diags = check_schedule(graph, machine, exact.schedule)
@@ -121,7 +125,7 @@ class TestCertificateSoundness:
     ):
         machine, graph = machine_graph
         mii = compute_mii(graph, machine, exact=True).mii
-        result = _exact().schedule(graph, machine, IIPolicy())
+        result = _exact().schedule(graph, machine)
         if result.optimal is not True:
             return  # unproven: no minimality claim to attack
         certs = result.certificates
@@ -160,7 +164,7 @@ class TestKnownCounterexample:
         machine, graph, _ = instance
         mii = compute_mii(graph, machine, exact=True).mii
         assert mii == 3
-        result = _exact().schedule(graph, machine, IIPolicy())
+        result = _exact().schedule(graph, machine)
         assert result.ii == 4
         assert result.optimal is True
         assert result.certificates[3]["status"] in ("unsat", "infeasible")
@@ -171,7 +175,7 @@ class TestKnownCounterexample:
 
     def test_retimed_below_proof_fails_validation(self, instance):
         machine, graph, _ = instance
-        result = _exact().schedule(graph, machine, IIPolicy())
+        result = _exact().schedule(graph, machine)
         diags = check_schedule(graph, machine, _retimed(result.schedule, 3))
         assert not diags.ok
         assert diags.errors
@@ -179,7 +183,7 @@ class TestKnownCounterexample:
     def test_tampered_time_fails_validation(self, instance):
         machine, graph, ops = instance
         a, b, _ = ops
-        result = _exact().schedule(graph, machine, IIPolicy())
+        result = _exact().schedule(graph, machine)
         times = dict(result.schedule.times)
         # Violate the b -> a flow dependence (distance 1): pull the
         # consumer far before the producer's completion.
@@ -189,3 +193,40 @@ class TestKnownCounterexample:
         )
         diags = check_schedule(graph, machine, tampered)
         assert not diags.ok
+
+
+class TestImsFailureFallback:
+    def test_list_schedule_bounds_the_search_after_the_ims_records(
+        self, monkeypatch
+    ):
+        """When IMS fails, the list backend's result is the upper bound:
+        the records read IMS's own, then the list rung's, then the
+        exact probes."""
+        import repro.backends.exact as exact_module
+
+        machine = two_alu_machine()
+        graph = DependenceGraph(machine, name="chain")
+        a = graph.add_operation("fadd", dest="a")
+        b = graph.add_operation("fmul", dest="b")
+        graph.add_edge(a, b, DependenceKind.FLOW)
+        graph.seal()
+        failure = SchedulingFailure(
+            "no schedule",
+            records=[AttemptRecord("ims", 1, False, 0, "infeasible")],
+            budget=18,
+        )
+
+        def ims_fails(*args, **kwargs):
+            raise failure
+
+        monkeypatch.setattr(exact_module, "modulo_schedule", ims_fails)
+        result = _exact().schedule(graph, machine)
+        listed = get_backend("list").schedule(graph, machine)
+        records = result.attempt_records
+        assert records[:2] == failure.records + listed.attempt_records
+        assert [r.backend for r in records[2:]] == ["exact"] * (
+            len(records) - 2
+        )
+        assert result.backend == "exact"
+        assert result.ii <= listed.ii
+        assert check_schedule(graph, machine, result.schedule).ok

@@ -17,6 +17,7 @@ from repro.machine import (
     single_alu_machine,
     two_alu_machine,
 )
+from repro.workloads.synthetic import synthetic_graph
 
 from tests.conftest import chain_graph, cross_iteration_graph, reduction_graph
 
@@ -133,6 +134,35 @@ class TestBudget:
         graph = cross_iteration_graph(alu, distance=1)  # needs II 4
         with pytest.raises(SchedulingFailure):
             modulo_schedule(graph, alu, max_ii=3)
+
+    def test_failure_carries_each_attempt_record(self):
+        """Paper-corpus loop synthetic5 (``build_corpus(seed=0)`` gives
+        synthetic loop ``i`` the generator seed ``i``) exhausts its budget
+        at its MII of 18, and II 19 is dead: a Cydra 5 load's port is
+        busy at issue and 19 cycles later, so it folds onto itself and
+        the attempt fails at 0 steps.  Each record keeps its own reason,
+        and ``detail()`` reads them."""
+        machine = cydra5()
+        graph = synthetic_graph(machine, seed=5)
+        assert graph.name == "synthetic5"
+        with pytest.raises(SchedulingFailure) as raised:
+            modulo_schedule(graph, machine, budget_ratio=6.0, max_ii=19)
+        failure = raised.value
+        assert [(r.ii, r.steps, r.reason) for r in failure.records] == [
+            (18, 168, "budget"),
+            (19, 0, "infeasible"),
+        ]
+        assert all(
+            r.backend == "ims" and not r.success for r in failure.records
+        )
+        assert failure.attempted_iis == [18, 19]
+        assert failure.steps_by_ii == {18: 168, 19: 0}
+        assert failure.detail() == {
+            "attempted_iis": [18, 19],
+            "steps_by_ii": {"18": 168, "19": 0},
+            "budget_per_ii": 168,
+            "steps_total": 168,
+        }
 
 
 class TestIterativeBehavior:

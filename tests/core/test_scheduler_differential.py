@@ -18,7 +18,9 @@ graphs, IIs and budgets from 1 to 6N, so exhausted budgets, forced
 displacement on Figure 1's bus machine and the dead II of a Cydra 5
 load (its port is busy at issue and 19 cycles later, so it folds onto
 itself at II 1 and 19) are all covered.  A deadline that expires on its
-k-th check must leave the same counters billed on both sides.
+k-th check must leave the same counters billed on both sides.  A last
+property needs no oracle: within an attempt, a smaller budget replays a
+prefix of a larger one.
 """
 
 from __future__ import annotations
@@ -228,6 +230,41 @@ def test_random_attempts_agree(machine_graph, style, priority, data):
     _assert_same_attempt(
         style, graph, machine, ii, budget, priority=priority
     )
+
+
+@given(
+    machine_graph=_GRAPHS,
+    priority=st.sampled_from(sorted(PRIORITY_SCHEMES)),
+    data=st.data(),
+)
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_a_smaller_budget_replays_a_prefix(machine_graph, priority, data):
+    """An attempt at a fixed II is deterministic and its budget only
+    decides when it stops, so an attempt with budget b1 <= b2 replays the
+    first b1 steps of the one with b2: if it succeeds, the larger one
+    returns the same schedule, and if the larger one fails, so does it.
+    That is why the engine's degradation ladder sends a budget failure
+    straight to the list rung instead of retrying IMS at a smaller
+    budget."""
+    machine, graph = machine_graph
+    mii = compute_mii(graph, machine).mii
+    ii = data.draw(st.integers(min_value=mii, max_value=mii + 3), label="ii")
+    b2 = data.draw(
+        st.integers(min_value=1, max_value=6 * graph.n_ops), label="b2"
+    )
+    b1 = data.draw(st.integers(min_value=1, max_value=b2), label="b1")
+    small, large = (
+        IterativeScheduler(graph, machine, ii, priority=priority).run(budget)
+        for budget in (b1, b2)
+    )
+    if small.success:
+        assert _observable(large) == _observable(small)
+    if not large.success:
+        assert not small.success
 
 
 def test_a_dead_ii_fails_at_zero_steps_in_every_style():

@@ -199,31 +199,21 @@ class TestLoopAttribution:
 
 
 class TestOtherIngest:
-    def test_bench_trajectory_dedupes_by_time(self, store, tmp_path):
-        path = tmp_path / "BENCH_X.json"
-        data = {"version": 1, "runs": [
-            {"bench": "sched", "unix_time": 1.0, "wall": 2.0},
-            {"bench": "sched", "unix_time": 2.0, "wall": 1.9},
-        ]}
-        path.write_text(json.dumps(data))
-        assert store.ingest_bench_trajectory(path) == 2
-        data["runs"].append({"bench": "sched", "unix_time": 3.0, "wall": 1.8})
-        path.write_text(json.dumps(data))
-        assert store.ingest_bench_trajectory(path) == 1  # only the tail
-        series = store.bench_series("sched")
-        assert [entry["unix_time"] for entry in series] == [1.0, 2.0, 3.0]
-
     def test_ingest_path_sniffs_all_formats(self, store, tmp_path):
         jsonl = tmp_path / "obs.jsonl"
         records = records_from_snapshot(_snapshot())
         jsonl.write_text("".join(json.dumps(r) + "\n" for r in records))
         assert store.ingest_path(jsonl).kind == "obs"
 
+        # A BENCH_*.json trajectory is a single JSON document, not a
+        # run: refused like any other.
         bench = tmp_path / "BENCH_SCHED.json"
         bench.write_text(json.dumps(
             {"version": 1, "runs": [{"bench": "b", "unix_time": 1.0}]}
         ))
-        assert store.ingest_path(bench).kind == "bench"
+        with pytest.raises(StoreError, match="unrecognized JSON document"):
+            store.ingest_path(bench)
+        assert len(store.runs()) == 1
 
     def test_wrong_format_timing_report_rejected(self, store, tmp_path):
         """An engine timing report is not a run: the store reads runs

@@ -444,6 +444,19 @@ class TestObservatory:
         assert f"run {recorded[0]} already present (deduped)" in text
         assert self._run_ids(db) == recorded
 
+    def test_ingest_refuses_a_bench_trajectory(self, tmp_path, capsys):
+        """The store reads runs only: a BENCH_*.json trajectory is an
+        unrecognized JSON document, a configuration error."""
+        db = str(tmp_path / "obs.db")
+        bench = tmp_path / "BENCH_SCHED.json"
+        bench.write_text(json.dumps(
+            {"version": 1, "runs": [{"bench": "b", "unix_time": 1.0}]}
+        ))
+        code, text = _run(["obs", "ingest", "--db", db, str(bench)])
+        assert code == 2 and text == ""
+        assert "unrecognized JSON document" in capsys.readouterr().err
+        assert self._run_ids(db) == []
+
     def test_unknown_run_reference_exits_2(self, db, capsys):
         code, _ = _run(["obs", "report", "--db", db, "zzzzzz"])
         assert code == 2

@@ -247,13 +247,13 @@ def exact_results(machine, corpus):
     """Every corpus loop through the exact backend, with solver budgets
     small enough that hard instances report honestly-unproven fast
     instead of spending a minute on an exhaustive UNSAT proof."""
-    from repro.backends import IIPolicy, get_backend
+    from repro.backends import get_backend
 
     backend = get_backend(
         "exact", max_time_vars=6000, max_clauses=25000, max_conflicts=20000
     )
     return [
-        backend.schedule(loop.graph, machine, IIPolicy())
+        backend.schedule(loop.graph, machine)
         for loop in corpus
     ]
 
