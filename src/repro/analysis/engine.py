@@ -14,7 +14,9 @@ the substrate that makes corpus-scale evaluation cheap, repeatable and
   the scheduler's budget automatically invalidates only the affected
   entries;
 * a **process-pool fan-out** over the per-loop work with deterministic,
-  corpus-order results regardless of completion order;
+  corpus-order results regardless of completion order: the workers
+  inherit the corpus and the run's settings through the pool
+  initializer, so a task is only ``(index, attempt)``;
 * **structured failure records**: a loop that cannot be scheduled (or
   fails verification) no longer aborts the corpus run — it is reported as
   a :class:`LoopFailure` alongside the successful evaluations;
@@ -35,9 +37,10 @@ the substrate that makes corpus-scale evaluation cheap, repeatable and
   to the list scheduler; so every feasible loop still yields a schedule
   plus a ``degradation`` record;
 * **the cache is the checkpoint**: each finished loop's entry is
-  written (fsynced, then renamed into place) the moment it completes,
-  so a re-run over the same cache after a crash or Ctrl-C evaluates
-  only the loops that were never cached;
+  written (fsynced, then renamed into place) by the process that
+  evaluated it, the moment it completes, so a re-run over the same
+  cache after a crash or Ctrl-C evaluates only the loops that were
+  never cached;
 * **per-loop phase timings** (mindist / scheduling / codegen /
   simulation) and cache hit/miss counters on the result; a traced run
   records the same facts as spans and metrics of its ``repro.obs.v2``
@@ -466,26 +469,37 @@ class CorpusEvaluation:
 # The per-loop worker (module-level so process pools can pickle it)
 
 
-@dataclass(frozen=True)
-class _LoopTask:
-    """Everything one worker needs to evaluate one loop (picklable)."""
+def _entry_path(cache_dir: Path, key: str) -> Path:
+    """Cache layout: ``<dir>/<key[:2]>/<key>.json``."""
+    return cache_dir / key[:2] / f"{key}.json"
 
-    loop: CorpusLoop
+
+@dataclass(frozen=True)
+class _RunSettings:
+    """The constants of one :meth:`EvaluationEngine.evaluate` call.
+
+    Built once per run and handed to every loop's evaluation: in-process
+    on the serial path, and through the pool initializer on the parallel
+    one, so a pool task is only ``(index, attempt)``.
+    """
+
     machine: Any
     budget_ratio: float
     verify_iterations: int
-    observe: bool
+    check: bool
+    backend: str
     timeout: Optional[float]
     degrade: bool
-    attempt: int
-    faults: Tuple[FaultDirective, ...]
-    in_pool: bool
-    index: int
-    check: bool = False
-    backend: str = "ims"
+    observe: bool
     #: Sampling-profiler interval in seconds; 0.0 leaves the profiler
     #: entirely out of the worker (the disabled path is one ``if``).
-    profile: float = 0.0
+    profile: float
+    faults: FaultPlan
+    in_pool: bool
+    #: Where a cacheable evaluation is written (None: caching is off),
+    #: and every corpus loop's key, by index.
+    cache_dir: Optional[Path]
+    keys: Tuple[str, ...]
 
 
 class _WatchdogAlarm:
@@ -549,7 +563,16 @@ def _bound_mii(graph, machine, counters) -> MIIResult:
     )
 
 
-def _resilient_schedule(task: "_LoopTask", counters, obs, timer, phase_box):
+def _resilient_schedule(
+    loop: CorpusLoop,
+    settings: _RunSettings,
+    faults: Tuple[FaultDirective, ...],
+    attempt: int,
+    counters,
+    obs,
+    timer,
+    phase_box,
+):
     """The degradation ladder around one loop's MII + scheduling work.
 
     Every rung is a registered backend's ``schedule`` call:
@@ -574,14 +597,14 @@ def _resilient_schedule(task: "_LoopTask", counters, obs, timer, phase_box):
     the input; a blown wall-clock deadline is not).  Raises when the loop
     genuinely cannot be scheduled (or ``degrade`` is off).
     """
-    loop, machine = task.loop, task.machine
-    deadline = Deadline(task.timeout) if task.timeout else None
+    machine = settings.machine
+    deadline = Deadline(settings.timeout) if settings.timeout else None
     mii_result = None
     try:
-        with _WatchdogAlarm(task.timeout if task.in_pool else None):
-            if task.faults:
+        with _WatchdogAlarm(settings.timeout if settings.in_pool else None):
+            if faults:
                 apply_worker_faults(
-                    task.faults, task.attempt, deadline, task.in_pool
+                    faults, attempt, deadline, settings.in_pool
                 )
             phase_box[0] = "mindist"
             with timer.phase("mindist"):
@@ -594,10 +617,10 @@ def _resilient_schedule(task: "_LoopTask", counters, obs, timer, phase_box):
                 )
             phase_box[0] = "scheduling"
             with timer.phase("scheduling"):
-                result = get_backend(task.backend).schedule(
+                result = get_backend(settings.backend).schedule(
                     loop.graph,
                     machine,
-                    task.budget_ratio,
+                    settings.budget_ratio,
                     counters=counters,
                     mii_result=mii_result,
                     obs=obs,
@@ -605,7 +628,7 @@ def _resilient_schedule(task: "_LoopTask", counters, obs, timer, phase_box):
                 )
             return mii_result, result, None, True
     except (DeadlineExceeded, SchedulingFailure) as trigger:
-        if not task.degrade:
+        if not settings.degrade:
             raise
         failure = trigger
     deterministic = isinstance(failure, SchedulingFailure)
@@ -646,7 +669,7 @@ def _resilient_schedule(task: "_LoopTask", counters, obs, timer, phase_box):
             result = get_backend("list").schedule(
                 loop.graph,
                 machine,
-                task.budget_ratio,
+                settings.budget_ratio,
                 counters=counters,
                 mii_result=mii_result,
                 obs=obs,
@@ -658,65 +681,87 @@ def _resilient_schedule(task: "_LoopTask", counters, obs, timer, phase_box):
     return mii_result, result, degradation, deterministic
 
 
-def _evaluate_loop_task(task: "_LoopTask") -> Dict[str, Any]:
+def _evaluate_loop(
+    corpus: Sequence[CorpusLoop],
+    settings: _RunSettings,
+    index: int,
+    attempt: int,
+) -> Dict[str, Any]:
     """Evaluate one loop under the watchdog + ladder; never raises.
 
     Returns a JSON-compatible dict with exactly one of ``payload`` /
     ``failure`` non-None, the per-phase ``seconds``, the worker's ``obs``
     snapshot (None unless observing), the collapsed ``profile`` samples
-    (None unless ``task.profile`` set) and ``cacheable`` (False when the
-    outcome depended on wall-clock rather than on the input alone).  Any
+    (None unless ``settings.profile`` set), ``cacheable`` (False when the
+    outcome depended on wall-clock rather than on the input alone) and
+    ``write_error`` (None unless writing the cache entry failed).  Any
     exception — including injected exotic types whose instances refuse to
     pickle — is reduced to a structured record here, inside the worker,
     so nothing unpicklable ever rides back through the pool.
+
+    With caching on, a cacheable payload is written to its entry here,
+    by the process that computed it, outside the timed phases.  A write
+    that raises ``OSError`` leaves the loop uncached and its evaluation
+    standing.
     """
+    loop = corpus[index]
+    machine = settings.machine
     profiler = None
-    if task.profile:
+    if settings.profile:
         from repro.obs.profile import shared_profiler
 
         # One long-lived profiler per worker process: harvesting (not
         # re-arming) per task lets sub-interval tasks accumulate samples
         # statistically across the worker's lifetime.
-        profiler = shared_profiler(task.profile)
+        profiler = shared_profiler(settings.profile)
         profiler.take()  # discard samples accrued between tasks
-    obs = ObsContext() if task.observe else NULL_OBS
+    obs = ObsContext() if settings.observe else NULL_OBS
     timer = obs.timer()
     phase_box = ["setup"]
     payload = None
     failure = None
     cacheable = True
-    with obs.span("loop", loop=task.loop.name) as loop_span:
-        if task.attempt:
-            loop_span.set("attempt", task.attempt)
+    with obs.span("loop", loop=loop.name) as loop_span:
+        if attempt:
+            loop_span.set("attempt", attempt)
         try:
             counters = Counters()
             mii_result, result, degradation, deterministic = (
-                _resilient_schedule(task, counters, obs, timer, phase_box)
+                _resilient_schedule(
+                    loop,
+                    settings,
+                    settings.faults.for_loop(index),
+                    attempt,
+                    counters,
+                    obs,
+                    timer,
+                    phase_box,
+                )
             )
             cacheable = degradation is None or deterministic
             with timer.phase("scheduling"):
-                list_sl = list_schedule_length(task.loop.graph, task.machine)
+                list_sl = list_schedule_length(loop.graph, machine)
             if degradation is None:
                 phase_box[0] = "mindist"
                 with timer.phase("mindist"):
                     at_mii = schedule_length_lower_bound(
-                        task.loop.graph, mii_result.mii, obs=obs
+                        loop.graph, mii_result.mii, obs=obs
                     )
                     if result.ii == mii_result.mii:
                         at_ii = at_mii
                     else:
                         at_ii = schedule_length_lower_bound(
-                            task.loop.graph, result.ii, obs=obs
+                            loop.graph, result.ii, obs=obs
                         )
             else:
                 # A degraded schedule is outside the paper's statistics,
                 # so its MinDist bounds are not computed.
                 at_mii = at_ii = 0
             evaluation = LoopEvaluation(
-                loop=task.loop,
-                n_ops=task.loop.graph.n_ops,
-                n_real_ops=task.loop.graph.n_real_ops,
-                n_edges=task.loop.graph.n_edges,
+                loop=loop,
+                n_ops=loop.graph.n_ops,
+                n_real_ops=loop.graph.n_real_ops,
+                n_edges=loop.graph.n_edges,
                 mii_result=mii_result,
                 result=result,
                 list_sl=list_sl,
@@ -725,20 +770,20 @@ def _evaluate_loop_task(task: "_LoopTask") -> Dict[str, Any]:
                 counters=counters,
                 degradation=degradation,
             )
-            payload = evaluation_to_dict(evaluation, task.machine)
-            if task.check:
+            payload = evaluation_to_dict(evaluation, machine)
+            if settings.check:
                 # Strict mode: the independent validator re-derives every
                 # constraint before the payload may be cached — degraded
                 # (relaxed-IMS and list-fallback) schedules included.
                 phase_box[0] = "check"
                 with timer.phase("check"), obs.span(
-                    "check", loop=task.loop.name
+                    "check", loop=loop.name
                 ) as check_span:
                     from repro.check import check_schedule
 
                     diags = check_schedule(
-                        task.loop.graph,
-                        task.machine,
+                        loop.graph,
+                        machine,
                         result.schedule,
                         codegen=True,
                     )
@@ -753,24 +798,27 @@ def _evaluate_loop_task(task: "_LoopTask") -> Dict[str, Any]:
                     "ok": True,
                     "warnings": len(diags.warnings),
                 }
-            if task.verify_iterations > 0 and task.loop.lowered is not None:
+            if settings.verify_iterations > 0 and loop.lowered is not None:
                 phase_box[0] = "codegen"
                 with timer.phase("codegen"):
                     from repro.codegen import emit_pipelined_code
 
-                    emit_pipelined_code(task.loop.graph, result.schedule)
+                    emit_pipelined_code(loop.graph, result.schedule)
                 phase_box[0] = "simulation"
                 with timer.phase("simulation"):
                     from repro.simulator import check_equivalence
 
                     report = check_equivalence(
-                        task.loop.lowered,
+                        loop.lowered,
                         result.schedule,
-                        n=task.verify_iterations,
+                        n=settings.verify_iterations,
                     )
                 if not report.ok:
                     raise VerificationError(report.describe())
-                payload["verify"] = {"n": task.verify_iterations, "ok": True}
+                payload["verify"] = {
+                    "n": settings.verify_iterations,
+                    "ok": True,
+                }
             loop_span.set("ii", result.ii)
             loop_span.set("ok", True)
             if degradation is not None:
@@ -796,14 +844,46 @@ def _evaluate_loop_task(task: "_LoopTask") -> Dict[str, Any]:
             loop_span.set("failed_phase", phase_box[0])
             loop_span.set("kind", classify_failure(type(exc).__name__))
     samples = profiler.take() if profiler is not None else None
+    write_error = None
+    if settings.cache_dir is not None and payload is not None and cacheable:
+        try:
+            atomic_write(
+                _entry_path(settings.cache_dir, settings.keys[index]),
+                json.dumps(payload, separators=(",", ":")),
+            )
+        except OSError as exc:
+            write_error = f"{type(exc).__name__}: {exc}"
     return {
         "payload": payload,
         "failure": failure,
         "seconds": timer.snapshot(),
-        "obs": obs.to_dict() if task.observe else None,
+        "obs": obs.to_dict() if settings.observe else None,
         "profile": samples,
         "cacheable": cacheable,
+        "write_error": write_error,
     }
+
+
+#: A pool worker's run: ``(corpus, settings)``, set by :func:`_init_worker`.
+_WORKER_RUN: Optional[Tuple[Sequence[CorpusLoop], _RunSettings]] = None
+
+
+def _init_worker(
+    corpus: Sequence[CorpusLoop], settings: _RunSettings
+) -> None:
+    """Pool initializer: keep the run for every task this worker takes.
+
+    Under ``fork`` the arguments are inherited, not pickled; under
+    ``spawn`` or ``forkserver`` they are pickled once per worker.
+    """
+    global _WORKER_RUN
+    _WORKER_RUN = (corpus, settings)
+
+
+def _evaluate_in_worker(index: int, attempt: int) -> Dict[str, Any]:
+    """One pool task: evaluate loop ``index`` of the inherited run."""
+    corpus, settings = _WORKER_RUN
+    return _evaluate_loop(corpus, settings, index, attempt)
 
 
 @dataclass
@@ -834,6 +914,7 @@ def _pool_failure(error_type: str, message: str) -> Dict[str, Any]:
         "obs": None,
         "profile": None,
         "cacheable": False,
+        "write_error": None,
     }
 
 
@@ -997,7 +1078,7 @@ class EvaluationEngine:
         """On-disk location of a cache entry: ``<dir>/<key[:2]>/<key>.json``."""
         if self.cache_dir is None:
             raise ValueError("engine has no cache directory")
-        return self.cache_dir / key[:2] / f"{key}.json"
+        return _entry_path(self.cache_dir, key)
 
     def _admit(
         self, payload: Any, loop: CorpusLoop
@@ -1066,12 +1147,6 @@ class EvaluationEngine:
                 pass
         return evaluation
 
-    def _cache_write(self, key: str, payload: Dict[str, Any]) -> None:
-        """Durably persist a payload (fsynced temp file, then rename)."""
-        atomic_write(
-            self.cache_path(key), json.dumps(payload, separators=(",", ":"))
-        )
-
     def _truncate_cache_entry(self, key: str) -> None:
         """Fault injection only: clip a just-written entry mid-document."""
         path = self.cache_path(key)
@@ -1121,9 +1196,10 @@ class EvaluationEngine:
             def finish(index: int, outcome: Dict[str, Any], attempts: int):
                 """Bank one loop's terminal outcome as soon as it exists.
 
-                The cache write happens here — per completion, not at end
-                of run — so a kill -9 one loop before the end still
-                leaves every earlier result durable for the re-run.
+                Its cache entry is already on disk: the process that
+                evaluated the loop wrote it, so a kill -9 one loop before
+                the end still leaves every earlier result durable for the
+                re-run.
                 """
                 seconds[index] = outcome["seconds"]
                 worker_output[index] = (
@@ -1143,22 +1219,33 @@ class EvaluationEngine:
                         detail=failure.get("detail") or {},
                     )
                     return
-                payload = outcome["payload"]
                 decoded[index] = evaluation_from_dict(
-                    payload, corpus[index], self.machine
+                    outcome["payload"], corpus[index], self.machine
                 )
-                if self.caching and outcome.get("cacheable", True):
-                    self._cache_write(keys[index], payload)
-                    if self.fault_plan.corrupts_cache(index):
-                        self._truncate_cache_entry(keys[index])
+                if outcome["write_error"] is not None:
+                    stats.diagnostics.append(
+                        f"cache write failed for loop {corpus[index].name} "
+                        f"(index {index}), which stays uncached: "
+                        f"{outcome['write_error']}"
+                    )
+                elif (
+                    self.caching
+                    and outcome["cacheable"]
+                    and self.fault_plan.corrupts_cache(index)
+                ):
+                    self._truncate_cache_entry(keys[index])
 
+            use_pool = self.jobs > 1 and len(pending) > 1
+            settings = self._settings(keys, in_pool=use_pool)
             try:
-                if self.jobs > 1 and len(pending) > 1:
+                if use_pool:
                     workers = min(self.jobs, len(pending))
                     with obs.span("corpus.fanout", workers=workers):
-                        self._run_pool(corpus, pending, workers, stats, finish)
+                        self._run_pool(
+                            corpus, settings, pending, workers, stats, finish
+                        )
                 else:
-                    self._run_serial(corpus, pending, stats, finish)
+                    self._run_serial(corpus, settings, pending, stats, finish)
             finally:
                 if self.profile_interval:
                     # The serial path arms the shared profiler in this
@@ -1266,24 +1353,22 @@ class EvaluationEngine:
 
     # -- execution paths ----------------------------------------------
 
-    def _make_task(
-        self, loop: CorpusLoop, index: int, attempt: int, in_pool: bool
-    ) -> _LoopTask:
-        return _LoopTask(
-            loop=loop,
+    def _settings(self, keys: Sequence[str], in_pool: bool) -> _RunSettings:
+        """This run's constants, shared by every loop's evaluation."""
+        return _RunSettings(
             machine=self.machine,
             budget_ratio=self.budget_ratio,
             verify_iterations=self.verify_iterations,
-            observe=self.obs.enabled,
-            timeout=self.loop_timeout,
-            degrade=self.degrade,
-            attempt=attempt,
-            faults=self.fault_plan.for_loop(index),
-            in_pool=in_pool,
-            index=index,
             check=self.check,
             backend=self.backend,
+            timeout=self.loop_timeout,
+            degrade=self.degrade,
+            observe=self.obs.enabled,
             profile=self.profile_interval,
+            faults=self.fault_plan,
+            in_pool=in_pool,
+            cache_dir=self.cache_dir,
+            keys=tuple(keys),
         )
 
     @staticmethod
@@ -1300,6 +1385,7 @@ class EvaluationEngine:
     def _run_serial(
         self,
         corpus: Sequence[CorpusLoop],
+        settings: _RunSettings,
         pending: Sequence[int],
         stats: _RunStats,
         finish: Callable[[int, Dict[str, Any], int], None],
@@ -1308,10 +1394,7 @@ class EvaluationEngine:
         for index in pending:
             attempt = 0
             while True:
-                task = self._make_task(
-                    corpus[index], index, attempt, in_pool=False
-                )
-                outcome = _evaluate_loop_task(task)
+                outcome = _evaluate_loop(corpus, settings, index, attempt)
                 failure = outcome["failure"]
                 if failure is None:
                     break
@@ -1324,15 +1407,31 @@ class EvaluationEngine:
                 attempt += 1
             finish(index, outcome, attempt + 1)
 
+    @staticmethod
+    def _new_pool(
+        workers: int, corpus: Sequence[CorpusLoop], settings: _RunSettings
+    ) -> ProcessPoolExecutor:
+        """A pool whose workers inherit the run through the initializer."""
+        return ProcessPoolExecutor(
+            max_workers=workers,
+            initializer=_init_worker,
+            initargs=(corpus, settings),
+        )
+
     def _rebuild_pool(
-        self, pool: ProcessPoolExecutor, workers: int
+        self,
+        pool: ProcessPoolExecutor,
+        workers: int,
+        corpus: Sequence[CorpusLoop],
+        settings: _RunSettings,
     ) -> ProcessPoolExecutor:
         pool.shutdown(wait=False)
-        return ProcessPoolExecutor(max_workers=workers)
+        return self._new_pool(workers, corpus, settings)
 
     def _run_pool(
         self,
         corpus: Sequence[CorpusLoop],
+        settings: _RunSettings,
         pending: Sequence[int],
         workers: int,
         stats: _RunStats,
@@ -1351,7 +1450,7 @@ class EvaluationEngine:
         ready = deque(pending)
         delayed: List[Tuple[float, int]] = []  # (ready-at, index) heap
         inflight: Dict[Any, int] = {}
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = self._new_pool(workers, corpus, settings)
         last_progress = time.monotonic()
 
         def resolve(index: int, outcome: Dict[str, Any]) -> None:
@@ -1386,18 +1485,18 @@ class EvaluationEngine:
                 now = time.monotonic()
                 while delayed and delayed[0][0] <= now:
                     ready.append(heapq.heappop(delayed)[1])
-                # Keep the pool fed, but bounded: pickled tasks waiting in
-                # the call queue would all die with one crashed worker.
+                # Keep the pool fed, but bounded: tasks waiting in the
+                # call queue would all die with one crashed worker.
                 while ready and len(inflight) < 2 * workers:
                     index = ready.popleft()
-                    task = self._make_task(
-                        corpus[index], index, attempts[index], in_pool=True
-                    )
+                    task = (index, attempts[index])
                     try:
-                        future = pool.submit(_evaluate_loop_task, task)
+                        future = pool.submit(_evaluate_in_worker, *task)
                     except (BrokenProcessPool, RuntimeError):
-                        pool = self._rebuild_pool(pool, workers)
-                        future = pool.submit(_evaluate_loop_task, task)
+                        pool = self._rebuild_pool(
+                            pool, workers, corpus, settings
+                        )
+                        future = pool.submit(_evaluate_in_worker, *task)
                     inflight[future] = index
                 if not inflight:
                     if delayed:  # only backoff timers left: sleep them out
@@ -1443,7 +1542,9 @@ class EvaluationEngine:
                                 ),
                             )
                         inflight.clear()
-                        pool = self._rebuild_pool(pool, workers)
+                        pool = self._rebuild_pool(
+                            pool, workers, corpus, settings
+                        )
                         last_progress = time.monotonic()
                     continue
                 last_progress = time.monotonic()
@@ -1483,7 +1584,7 @@ class EvaluationEngine:
                             ),
                         )
                     inflight.clear()
-                    pool = self._rebuild_pool(pool, workers)
+                    pool = self._rebuild_pool(pool, workers, corpus, settings)
         finally:
             pool.shutdown(wait=False)
 

@@ -25,7 +25,8 @@ Spec grammar (``REPRO_FAULT_INJECT`` or an explicit :class:`FaultPlan`)::
 * ``raise@4:ValueError`` — the evaluation raises the named exception
   (``transient`` and ``exotic`` select the injector's own types below);
 * ``corrupt@2``     — the *engine* truncates loop 2's cache entry right
-  after writing it, so the next run exercises the corrupt-cache path.
+  after the evaluating process wrote it, so the next run exercises the
+  corrupt-cache path.
 
 A directive fires on attempt 0 only — the fault is *transient* and a
 retry on a fresh worker succeeds, which is what lets the resilience
@@ -169,7 +170,7 @@ class FaultPlan:
 
     def for_loop(self, index: int) -> Tuple[FaultDirective, ...]:
         """Worker-side directives for one corpus loop (corrupt excluded:
-        cache corruption is injected by the engine at write time)."""
+        the engine truncates the entry once the worker has written it)."""
         return tuple(
             d
             for d in self.directives

@@ -544,14 +544,20 @@ def _cmd_corpus(args, out) -> int:
         for failure in result.failures:
             print(f"  FAILED {failure.describe()}", file=out)
         return 1
-    rows = [
-        distribution_row("ops", [e.n_real_ops for e in evaluations], 4),
-        distribution_row("MII", [e.mii for e in evaluations], 1),
-        distribution_row("II - MII", [e.delta_ii for e in evaluations], 0),
+    # A deadline that cut the MII search short leaves only the ResMII
+    # bound as the loop's MII, so the MII statistics skip such loops.
+    exact = [e for e in evaluations if e.mii_result.rec_mii_exact]
+    rows = [distribution_row("ops", [e.n_real_ops for e in evaluations], 4)]
+    if exact:
+        rows.append(distribution_row("MII", [e.mii for e in exact], 1))
+        rows.append(
+            distribution_row("II - MII", [e.delta_ii for e in exact], 0)
+        )
+    rows.append(
         distribution_row(
             "steps/op", [e.schedule_ratio for e in evaluations], 1
-        ),
-    ]
+        )
+    )
     print(
         render_table(
             ["measurement", "min", "freq(min)", "median", "mean", "max"],
@@ -560,11 +566,19 @@ def _cmd_corpus(args, out) -> int:
         ),
         file=out,
     )
-    census = Counter(e.delta_ii for e in evaluations)
-    print(
-        f"II = MII on {census[0] / len(evaluations):.1%} of loops",
-        file=out,
-    )
+    if exact:
+        census = Counter(e.delta_ii for e in exact)
+        print(
+            f"II = MII on {census[0] / len(exact):.1%} of loops",
+            file=out,
+        )
+    if len(exact) < len(evaluations):
+        print(
+            f"MII statistics leave out {len(evaluations) - len(exact)} "
+            "loop(s) whose MII search a deadline cut short (MII is only "
+            "the ResMII bound)",
+            file=out,
+        )
     from repro.backends import get_backend
 
     if get_backend(args.backend).proves_optimality:

@@ -26,13 +26,16 @@ class MachineError(KeyError):
 
 
 class CompiledMaskSet:
-    """Every opcode alternative of one machine, mask-compiled at one II.
+    """The opcode alternatives of one machine, mask-compiled at one II.
 
     Resources take their bit rows from the machine's declaration order,
     so masks are stable across processes and machine instances with the
-    same content.  Alternatives that fold onto themselves at this II are
-    rejected here, once — ``feasible()`` is what the scheduler's
-    per-attempt setup consumes instead of re-probing every alternative.
+    same content.  An opcode's alternatives compile the first time
+    :meth:`alternatives` or :meth:`feasible` asks for them, so a set
+    holds only the opcodes its loops use.  Alternatives that fold onto
+    themselves at this II are rejected then, once — ``feasible()`` is
+    what the scheduler's per-attempt setup consumes instead of
+    re-probing every alternative.
     """
 
     def __init__(self, machine: "MachineDescription", ii: int) -> None:
@@ -41,24 +44,38 @@ class CompiledMaskSet:
         self.rows: Dict[str, int] = {
             name: row for row, name in enumerate(self.row_names)
         }
+        self._machine = machine
         self._all: Dict[str, Tuple[CompiledAlternative, ...]] = {}
         self._feasible: Dict[str, Tuple[CompiledAlternative, ...]] = {}
-        for opcode in machine.opcode_names:
-            compiled = tuple(
-                compile_alternative(alt, self.rows, ii)
-                for alt in machine.opcode(opcode).alternatives
-            )
-            self._all[opcode] = compiled
-            self._feasible[opcode] = tuple(
-                alt for alt in compiled if not alt.self_conflicting
-            )
+
+    def _compile(self, opcode: str) -> None:
+        """Compile ``opcode``'s alternatives (:class:`MachineError` if
+        the machine has no such opcode)."""
+        compiled = tuple(
+            compile_alternative(alt, self.rows, self.ii)
+            for alt in self._machine.alternatives(opcode)
+        )
+        self._all[opcode] = compiled
+        self._feasible[opcode] = tuple(
+            alt for alt in compiled if not alt.self_conflicting
+        )
 
     def alternatives(self, opcode: str) -> Tuple[CompiledAlternative, ...]:
         """Every compiled alternative of ``opcode``, in declaration order."""
+        try:
+            return self._all[opcode]
+        except KeyError:
+            pass
+        self._compile(opcode)
         return self._all[opcode]
 
     def feasible(self, opcode: str) -> Tuple[CompiledAlternative, ...]:
         """The alternatives of ``opcode`` placeable at this II."""
+        try:
+            return self._feasible[opcode]
+        except KeyError:
+            pass
+        self._compile(opcode)
         return self._feasible[opcode]
 
 
@@ -124,14 +141,13 @@ class MachineDescription:
         return self._content_key
 
     def compiled_masks(self, ii: int) -> CompiledMaskSet:
-        """The bitmask compilation of every opcode alternative at ``ii``.
+        """The bitmask compilation of the opcode alternatives at ``ii``.
 
-        Compilation happens at most once per (machine content, II) per
-        process; repeated scheduler attempts, corpus loops, and even
-        distinct-but-equal machine instances all share the result.  The
-        machine itself holds no compiled masks, so its pickle (which
-        every engine task carries to a worker) stays the same size
-        whatever IIs were compiled.
+        Each opcode compiles at most once per (machine content, II) per
+        process, on first use; repeated scheduler attempts, corpus
+        loops, and even distinct-but-equal machine instances all share
+        the result.  The machine itself holds no compiled masks, so its
+        pickle stays the same size whatever IIs were compiled.
         """
         key = (self.content_key, ii)
         shared = _MASK_SET_CACHE.get(key)

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -24,6 +26,7 @@ from repro.machine.serialize import machine_from_dict, machine_to_dict
 from repro.obs import ObsContext, write_jsonl
 from repro.workloads import build_corpus
 from repro.workloads.corpus import CorpusLoop
+from tests.analysis.test_resilience import _bytes_of
 from tests.conftest import export_counters
 
 SRC_DIR = Path(__file__).resolve().parents[2] / "src"
@@ -365,6 +368,85 @@ class TestCache:
             machine, cache_dir=cache, budget_ratio=2.0
         ).evaluate(corpus)
         assert other.hits == 0 and other.misses == len(corpus)
+
+
+class TestWorkerSideRun:
+    """At jobs > 1 the workers inherit the corpus and the run's settings
+    through the pool initializer, and each evaluating process writes its
+    own cache entries."""
+
+    def test_a_task_is_an_index_and_an_attempt(
+        self, machine, corpus, monkeypatch
+    ):
+        sizes = []
+        real_submit = ProcessPoolExecutor.submit
+
+        def submit(self, fn, /, *args, **kwargs):
+            sizes.append(len(pickle.dumps((fn, args, kwargs))))
+            return real_submit(self, fn, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", submit)
+        result = EvaluationEngine(machine, jobs=2).evaluate(corpus)
+        assert result.ok
+        assert len(sizes) == len(corpus)
+        assert max(sizes) < 256
+
+    def test_workers_write_the_entries(
+        self, machine, corpus, tmp_path, monkeypatch
+    ):
+        """No entry is written by the parent, and every entry holds the
+        bytes a serial run writes.  The forked workers inherit the
+        logging wrapper."""
+        log = tmp_path / "writers.txt"
+        real_write = engine_module.atomic_write
+
+        def logged(path, text):
+            with open(log, "a") as stream:
+                stream.write(f"{os.getpid()}\n")
+            real_write(path, text)
+
+        monkeypatch.setattr(engine_module, "atomic_write", logged)
+        pooled = EvaluationEngine(machine, jobs=2, cache_dir=tmp_path / "pool")
+        assert pooled.evaluate(corpus).ok
+        writers = log.read_text().split()
+        assert len(writers) == len(corpus)
+        assert str(os.getpid()) not in writers
+
+        monkeypatch.setattr(engine_module, "atomic_write", real_write)
+        serial = EvaluationEngine(
+            machine, jobs=1, cache_dir=tmp_path / "serial"
+        )
+        assert serial.evaluate(corpus).ok
+        for loop in corpus:
+            key = serial.key_for(loop)
+            assert (
+                pooled.cache_path(key).read_bytes()
+                == serial.cache_path(key).read_bytes()
+            )
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_failed_write_leaves_the_loop_uncached(
+        self, machine, corpus, tmp_path, monkeypatch, jobs
+    ):
+        """A write that raises ``OSError`` keeps the loop's evaluation and
+        becomes a run diagnostic naming the loop."""
+
+        def refuse(path, text):
+            raise OSError(28, "No space left on device")
+
+        clean = EvaluationEngine(machine).evaluate(corpus)
+        monkeypatch.setattr(engine_module, "atomic_write", refuse)
+        cache = tmp_path / "cache"
+        result = EvaluationEngine(
+            machine, jobs=jobs, cache_dir=cache
+        ).evaluate(corpus)
+        assert result.ok
+        assert _bytes_of(result, machine) == _bytes_of(clean, machine)
+        assert not list(cache.glob("??/*.json"))
+        notes = [n for n in result.diagnostics if "cache write failed" in n]
+        assert len(notes) == len(corpus)
+        for loop in corpus:
+            assert any(f"loop {loop.name} " in note for note in notes)
 
 
 class TestFailureRecords:

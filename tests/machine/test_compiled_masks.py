@@ -4,8 +4,10 @@ import pickle
 
 import pytest
 
-from repro.machine import ReservationTable, cydra5
-from repro.machine.machine import _MASK_SET_CACHE
+import repro.machine.machine as machine_module
+from repro.cli import MACHINES
+from repro.machine import MachineError, ReservationTable, cydra5
+from repro.machine.machine import _MASK_SET_CACHE, CompiledMaskSet
 from repro.machine.resources import (
     CompiledAlternative,
     compile_alternative,
@@ -123,3 +125,50 @@ class TestMaskSetCache:
         for opcode in machine.opcode_names:
             for compiled in mask_set.feasible(opcode):
                 assert not compiled.self_conflicting
+
+
+class TestLazyCompilation:
+    """A mask set compiles an opcode's alternatives on first use."""
+
+    @pytest.mark.parametrize("name", sorted(MACHINES))
+    def test_lazy_sets_equal_eager_compilation(self, name):
+        machine = MACHINES[name]()
+        for ii in range(1, 41):
+            mask_set = CompiledMaskSet(machine, ii)
+            for opcode in machine.opcode_names:
+                tables = machine.alternatives(opcode)
+                got = mask_set.alternatives(opcode)
+                assert len(got) == len(tables)
+                for compiled, table in zip(got, tables):
+                    eager = compile_alternative(table, mask_set.rows, ii)
+                    assert compiled.table is table
+                    assert compiled.slot_masks == eager.slot_masks
+                    assert compiled.row_uses == eager.row_uses
+                    assert compiled.self_conflicting == eager.self_conflicting
+                assert mask_set.feasible(opcode) == tuple(
+                    alt for alt in got if not alt.self_conflicting
+                )
+
+    def test_feasible_compiles_only_the_asked_opcode(self, monkeypatch):
+        machine = cydra5()
+        calls = []
+        real = machine_module.compile_alternative
+
+        def counting(table, rows, ii):
+            calls.append(table.name)
+            return real(table, rows, ii)
+
+        monkeypatch.setattr(machine_module, "compile_alternative", counting)
+        mask_set = CompiledMaskSet(machine, 7)
+        mask_set.feasible("load")
+        assert len(calls) == len(machine.alternatives("load"))
+        mask_set.feasible("load")
+        mask_set.alternatives("load")
+        assert len(calls) == len(machine.alternatives("load"))
+
+    def test_unknown_opcode_is_a_machine_error(self):
+        mask_set = CompiledMaskSet(cydra5(), 3)
+        for lookup in (mask_set.alternatives, mask_set.feasible):
+            with pytest.raises(MachineError, match="no opcode 'warp'"):
+                lookup("warp")
+        assert issubclass(MachineError, KeyError)

@@ -127,6 +127,45 @@ class TestCorpus:
         assert code == 0
         assert "0 failures" in text
 
+    def test_mii_statistics_leave_out_a_cut_short_mii(self, monkeypatch):
+        """A deadline that stalls abs_sum_signs before its MII search
+        leaves it with the ResMII bound (4, not 8); the MII rows and the
+        II = MII line must read as a clean run's without that loop."""
+        from repro.analysis import distribution_row
+        from repro.analysis.engine import EvaluationEngine
+        from repro.analysis.faultinject import NULL_PLAN
+        from repro.machine import cydra5
+        from repro.workloads import build_corpus
+
+        monkeypatch.setenv("REPRO_FAULT_INJECT", "slow@0:5!")
+        code, text = _run([
+            "corpus", "--loops", "65", "--jobs", "1", "--no-cache",
+            "--loop-timeout", "1",
+        ])
+        assert code == 0
+        assert "1 degraded" in text
+        machine = cydra5()
+        clean = EvaluationEngine(machine, fault_plan=NULL_PLAN).evaluate(
+            build_corpus(machine, n_synthetic=0, seed=0)
+        )
+        assert clean.evaluations[0].loop.name == "abs_sum_signs"
+        kept = clean.evaluations[1:]
+        lines = [line.strip() for line in text.splitlines()]
+        for name, values, minimum in (
+            ("MII", [e.mii for e in kept], 1),
+            ("II - MII", [e.delta_ii for e in kept], 0),
+        ):
+            cells = distribution_row(name, values, minimum).cells()
+            # A table row is the measurement's name and five numbers.
+            (row,) = [l for l in lines if l.split()[:-5] == name.split()]
+            assert row.split() == " ".join(cells).split()
+        at_mii = sum(1 for e in kept if e.delta_ii == 0) / len(kept)
+        assert f"II = MII on {at_mii:.1%} of loops" in lines
+        assert (
+            "MII statistics leave out 1 loop(s) whose MII search a "
+            "deadline cut short (MII is only the ResMII bound)"
+        ) in lines
+
 
 class TestCheck:
     def test_single_file_check_passes(self, dot_file):
